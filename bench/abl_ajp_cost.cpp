@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       points.push_back(params);
     }
   }
-  const auto results = core::runMany(points, opts.sweepOptions());
+  const auto results = bench::runPoints(points, opts);
   for (std::size_t a = 0; a < ajpCosts.size(); ++a) {
     std::vector<std::string> row{stats::fmt(ajpCosts[a], 2)};
     for (std::size_t c = 0; c < configs.size(); ++c) {

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     params.cost.jdbcPerQueryUs = jdbc;
     points.push_back(params);
   }
-  const auto results = core::runMany(points, opts.sweepOptions());
+  const auto results = bench::runPoints(points, opts);
 
   const auto& php = results[0];
   std::printf("WsPhp-DB baseline (native driver): %.0f ipm\n\n", php.throughputIpm);

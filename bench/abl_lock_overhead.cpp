@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
       points.push_back(params);
     }
   }
-  const auto results = core::runMany(points, opts.sweepOptions());
+  const auto results = bench::runPoints(points, opts);
   for (std::size_t i = 0; i < lockCosts.size(); ++i) {
     const auto& php = results[2 * i];
     const auto& sync = results[2 * i + 1];

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     aParams.cost.dbPerRowExaminedUs = perRow;
     points.push_back(aParams);
   }
-  const auto results = core::runMany(points, opts.sweepOptions());
+  const auto results = bench::runPoints(points, opts);
   for (std::size_t i = 0; i < rowCosts.size(); ++i) {
     table.addRow({stats::fmt(rowCosts[i], 2),
                   stats::fmt(results[2 * i].throughputIpm, 0),

@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
       points.push_back(core::pointParams(base, config, c));
     }
   }
-  const auto results = core::runMany(points, opts.sweepOptions());
+  const auto results = bench::runPoints(points, opts);
 
   stats::TextTable table({"web replicas", "clients", "ipm", "mean RT ms", "limited by"});
   std::string csv = "web_replicas,clients,ipm,mean_rt_ms,limiting_tier\n";

@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
     if (opts.tracing()) base.trace.enabled = true;
     points.push_back(core::pointParams(base, config, clients));
   }
-  const auto results = core::runMany(points, opts.sweepOptions());
+  const auto results = bench::runPoints(points, opts);
 
   stats::TextTable table({"dispatch", "ipm", "errors", "rerouted", "timeouts",
                           "pre-crash ok/min", "outage min ok/min", "recovery s"});

@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
     base.scenario.seriesInterval = sim::fromSeconds(bucketSec);
     points.push_back(core::pointParams(base, config, /*clients=*/0));
   }
-  const auto results = core::runMany(points, opts.sweepOptions());
+  const auto results = bench::runPoints(points, opts);
 
   stats::TextTable table({"surge ×", "peak rate/s", "ipm", "arrivals", "shed",
                           "shed %", "errors", "mean RT ms", "p90 RT ms"});

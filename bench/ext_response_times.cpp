@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
       points.push_back(core::pointParams(opts.baseParams(spec), config, clients));
     }
   }
-  const auto results = core::runMany(points, opts.sweepOptions());
+  const auto results = bench::runPoints(points, opts);
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& r = results[i];
     table.addRow({std::to_string(points[i].clients),

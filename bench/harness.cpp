@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 #include "core/parallel.hpp"
 #include "obs/analyzer.hpp"
@@ -177,6 +178,16 @@ core::SweepOptions BenchOptions::sweepOptions() const {
   return sweep;
 }
 
+std::vector<core::ExperimentResult> runPoints(
+    const std::vector<core::ExperimentParams>& points, const BenchOptions& opts) {
+  try {
+    return core::runMany(points, opts.sweepOptions());
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
+}
+
 core::ExperimentParams BenchOptions::baseParams(const FigureSpec& spec) const {
   core::ExperimentParams params;
   params.app = spec.app;
@@ -222,7 +233,7 @@ int runThroughputFigure(const FigureSpec& spec, int argc, char** argv) {
       flatPoints.push_back(p);
     }
   }
-  const auto flat = core::runMany(flatPoints, opts.sweepOptions());
+  const auto flat = runPoints(flatPoints, opts);
   std::vector<std::vector<core::ExperimentResult>> grid(spec.configs.size());
   for (std::size_t ci = 0; ci < spec.configs.size(); ++ci) {
     grid[ci].assign(flat.begin() + static_cast<std::ptrdiff_t>(ci * points.size()),
@@ -311,7 +322,7 @@ int runCpuFigure(const FigureSpec& spec, int argc, char** argv) {
       flatPoints.push_back(p);
     }
   }
-  const auto flat = core::runMany(flatPoints, opts.sweepOptions());
+  const auto flat = runPoints(flatPoints, opts);
   std::vector<std::vector<core::ExperimentResult>> grid(spec.configs.size());
   for (std::size_t ci = 0; ci < spec.configs.size(); ++ci) {
     grid[ci].assign(flat.begin() + static_cast<std::ptrdiff_t>(ci * candidates.size()),

@@ -72,6 +72,13 @@ struct BenchOptions {
   core::SweepOptions sweepOptions() const;
 };
 
+/// core::runMany with the bench's --jobs and progress printer. Params the
+/// simulator rejects as invalid (core::validate: e.g. `--measure-sec abc`,
+/// which parses as 0) print the reason to stderr and exit the process with
+/// status 2, instead of printing a table of NaNs and exiting 0.
+std::vector<core::ExperimentResult> runPoints(
+    const std::vector<core::ExperimentParams>& points, const BenchOptions& opts);
+
 /// Prints the per-tier attribution table for one traced point (the
 /// --breakdown output). Used by the figure runners and the table benches.
 void printBreakdown(const char* configName, int clients, const trace::Report& report);

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   for (auto config : configs) {
     points.push_back(core::pointParams(opts.baseParams(spec), config, 700));
   }
-  const auto results = core::runMany(points, opts.sweepOptions());
+  const auto results = bench::runPoints(points, opts);
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& r = results[i];
 

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   for (const Run& run : runs) {
     points.push_back(core::pointParams(opts.baseParams(spec), run.config, run.clients));
   }
-  const auto results = core::runMany(points, opts.sweepOptions());
+  const auto results = bench::runPoints(points, opts);
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& r = results[i];
 

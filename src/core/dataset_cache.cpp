@@ -46,6 +46,14 @@ DatasetCache& DatasetCache::global() {
   return instance;
 }
 
+db::Database DatasetCache::workingCopy(const db::Database& prototype) {
+  db::Database copy = prototype.clone();
+  copy.beginJournal();
+  std::lock_guard lock(mu_);
+  ++clones_;
+  return copy;
+}
+
 db::Database DatasetCache::get(App app, double scale, std::uint64_t dataSeed) {
   const Key key{static_cast<int>(app), scale, dataSeed};
   std::shared_future<std::shared_ptr<const db::Database>> future;
@@ -57,7 +65,7 @@ db::Database DatasetCache::get(App app, double scale, std::uint64_t dataSeed) {
       // concurrent requesters wait for us instead of building again.
       std::promise<std::shared_ptr<const db::Database>> promise;
       future = promise.get_future().share();
-      map_.emplace(key, future);
+      map_.emplace(key, Entry{future, {}});
       ++builds_;
       lock.unlock();
       try {
@@ -69,16 +77,34 @@ db::Database DatasetCache::get(App app, double scale, std::uint64_t dataSeed) {
         map_.erase(key);  // let a later call retry rather than caching failure
         throw;
       }
-      return future.get()->clone();
+      return workingCopy(*future.get());
     }
-    future = it->second;
+    if (!it->second.idle.empty()) {
+      db::Database copy = std::move(it->second.idle.back());
+      it->second.idle.pop_back();
+      return copy;
+    }
+    future = it->second.prototype;
   }
-  return future.get()->clone();
+  return workingCopy(*future.get());
+}
+
+void DatasetCache::recycle(App app, double scale, std::uint64_t dataSeed,
+                           db::Database database) {
+  database.rollback();  // outside the lock: it is this run's private copy
+  const Key key{static_cast<int>(app), scale, dataSeed};
+  std::lock_guard lock(mu_);
+  auto it = map_.find(key);
+  if (it != map_.end()) it->second.idle.push_back(std::move(database));
 }
 
 void DatasetCache::clear() {
-  std::lock_guard lock(mu_);
-  map_.clear();
+  std::map<Key, Entry> dropped;
+  {
+    std::lock_guard lock(mu_);
+    dropped.swap(map_);
+  }
+  // `dropped` frees prototypes and idle copies here, outside the lock.
 }
 
 std::size_t DatasetCache::size() const {
@@ -89,6 +115,11 @@ std::size_t DatasetCache::size() const {
 std::uint64_t DatasetCache::builds() const {
   std::lock_guard lock(mu_);
   return builds_;
+}
+
+std::uint64_t DatasetCache::clones() const {
+  std::lock_guard lock(mu_);
+  return clones_;
 }
 
 }  // namespace mwsim::core

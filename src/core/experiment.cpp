@@ -1,8 +1,10 @@
 #include "core/experiment.hpp"
 
+#include <cmath>
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 
 #include "core/dataset_cache.hpp"
@@ -147,15 +149,13 @@ void addBackendProbes(obs::MetricsRegistry& registry, mw::DatabaseServer& backen
       [&backend] { return static_cast<double>(backend.statementsProcessed()); });
 }
 
-}  // namespace
-
-ExperimentResult runExperiment(const ExperimentParams& params) {
+/// Builds the topology around `databases` (one per database machine,
+/// borrowed for the whole call), runs the three phases and collects the
+/// result. Every object that can reach a database lives and dies in here.
+ExperimentResult simulate(const ExperimentParams& params, const Topology& topo,
+                          std::span<db::Database> databases) {
   sim::Simulation simulation(params.seed);
   net::Network network(simulation);
-
-  const Topology topo =
-      params.topology ? *params.topology : canonicalTopology(params.config);
-  validateTopology(topo);
 
   // Machines. The client farm gets an effectively infinite NIC — the paper
   // uses "enough client emulation machines" that clients never bottleneck;
@@ -172,30 +172,18 @@ ExperimentResult runExperiment(const ExperimentParams& params) {
     ejbMachines = makeTier(simulation, kEjbTier, topo.ejb);
   }
 
-  // Database content: every backend gets its own private clone of the
-  // cached prototype for (app, scale, population seed) — identical to
-  // populating each from scratch with the same Rng, minus the population
-  // cost on every run but the first (see DatasetCache).
   apps::bookstore::Scale bookScale;
   bookScale.scale = params.bookstoreScale;
   apps::auction::Scale auctionScale;
   auctionScale.historyScale = params.auctionHistoryScale;
   apps::bbs::Scale bbsScale;
   bbsScale.historyScale = params.bbsHistoryScale;
-  const double appScale = params.app == App::Bookstore ? params.bookstoreScale
-                          : params.app == App::Auction ? params.auctionHistoryScale
-                                                       : params.bbsHistoryScale;
-  const std::uint64_t dataSeed =
-      params.dataSeed != 0 ? params.dataSeed : sim::deriveSeed(params.seed, /*tag=*/0xDB);
-  std::vector<db::Database> databases;
-  databases.reserve(dbMachines.size());
   std::size_t databaseBytes = 0;
   for (std::size_t i = 0; i < dbMachines.size(); ++i) {
-    databases.push_back(DatasetCache::global().get(params.app, appScale, dataSeed));
     // Coarse memory accounting (paper §5.1 / §6.1): each replica holds its
     // own full copy of the tables plus server overhead — replicated
     // databases multiply the footprint, they do not share it.
-    const std::size_t bytes = databases.back().approxBytes();
+    const std::size_t bytes = databases[i].approxBytes();
     databaseBytes += bytes;
     dbMachines[i]->addMemory(topo.db.memoryBytes != 0
                                  ? topo.db.memoryBytes
@@ -219,7 +207,7 @@ ExperimentResult runExperiment(const ExperimentParams& params) {
   std::vector<net::Machine*> dbMachinePtrs;
   for (auto& m : dbMachines) dbMachinePtrs.push_back(m.get());
   mw::DbCluster dbCluster(simulation, params.cost, topo.dbPolicy, dbMachinePtrs,
-                          std::move(databases));
+                          databases);
 
   // Business logic.
   std::unique_ptr<mw::SqlBusinessLogic> sqlLogic;
@@ -493,6 +481,58 @@ ExperimentResult runExperiment(const ExperimentParams& params) {
     report.verdict = obs::analyze(report, result.trace.get(), from, to);
     result.metrics = std::make_shared<const obs::MetricsReport>(std::move(report));
     simulation.setMetrics(nullptr);
+  }
+  return result;
+}
+
+}  // namespace
+
+void validate(const ExperimentParams& params) {
+  const auto reject = [](const std::string& what) {
+    throw std::invalid_argument("invalid experiment parameters: " + what);
+  };
+  if (params.measure <= 0) reject("measurement window must be positive");
+  if (params.rampUp < 0) reject("ramp-up must not be negative");
+  if (params.rampDown < 0) reject("ramp-down must not be negative");
+  if (params.clients < 0) reject("client count must not be negative");
+  if (params.clients == 0 && !params.scenario.openLoop()) {
+    reject("a closed-loop run needs at least one client");
+  }
+  for (const double scale :
+       {params.bookstoreScale, params.auctionHistoryScale, params.bbsHistoryScale}) {
+    if (!std::isfinite(scale) || scale <= 0) {
+      reject("database scale must be finite and positive");
+    }
+  }
+}
+
+ExperimentResult runExperiment(const ExperimentParams& params) {
+  validate(params);
+  const Topology topo =
+      params.topology ? *params.topology : canonicalTopology(params.config);
+  validateTopology(topo);
+
+  // Database content: every backend gets its own working copy of the
+  // cached prototype for (app, scale, population seed) — identical to
+  // populating each from scratch with the same Rng, minus the population
+  // cost on every run but the first (see DatasetCache). The copies stay
+  // owned here; the run's DbCluster only borrows them.
+  const double appScale = params.app == App::Bookstore ? params.bookstoreScale
+                          : params.app == App::Auction ? params.auctionHistoryScale
+                                                       : params.bbsHistoryScale;
+  const std::uint64_t dataSeed =
+      params.dataSeed != 0 ? params.dataSeed : sim::deriveSeed(params.seed, /*tag=*/0xDB);
+  DatasetCache& cache = DatasetCache::global();
+  std::vector<db::Database> databases;
+  databases.reserve(static_cast<std::size_t>(topo.db.replicas));
+  for (int i = 0; i < topo.db.replicas; ++i) {
+    databases.push_back(cache.get(params.app, appScale, dataSeed));
+  }
+  ExperimentResult result = simulate(params, topo, databases);
+  // Only a completed run returns its copies to the pool. If simulate threw,
+  // unwinding frees them instead, whatever state they were left in.
+  for (db::Database& database : databases) {
+    cache.recycle(params.app, appScale, dataSeed, std::move(database));
   }
   return result;
 }

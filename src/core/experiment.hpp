@@ -115,7 +115,7 @@ struct ExperimentResult {
   /// fig05 drain stalls before this field existed.
   double lockManagerWaitSeconds = 0.0;
 
-  /// Dataset bytes across every database replica's own clone.
+  /// Dataset bytes across every database replica's own copy.
   std::size_t databaseBytes = 0;
 
   /// Dynamic-content requests answered with an error page: web replicas'
@@ -163,10 +163,19 @@ struct ExperimentResult {
   }
 };
 
-/// Runs one full experiment: builds the topology for the configuration,
-/// clones the populated database from the dataset cache, ramps up,
-/// measures, ramps down. Safe to call concurrently from multiple threads —
-/// each call owns its whole simulation substrate.
+/// Rejects params no run can honour, with std::invalid_argument: a
+/// measurement window that is not positive, a negative ramp-up or
+/// ramp-down, a negative client count, zero clients in closed-loop mode
+/// (open-loop load comes from scenario.arrivals, so 0 is fine there), or a
+/// database scale knob that is not finite and positive.
+void validate(const ExperimentParams& params);
+
+/// Runs one full experiment: validates the params, builds the topology for
+/// the configuration, takes one working copy of the populated database per
+/// database machine from the dataset cache, ramps up, measures, ramps down,
+/// and hands the copies back to the cache for reuse. Safe to call
+/// concurrently from multiple threads — each call owns its whole simulation
+/// substrate and its copies until it returns.
 ExperimentResult runExperiment(const ExperimentParams& params);
 
 /// Seed for one sweep point, derived as hash(rootSeed, app, mix, config,

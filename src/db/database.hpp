@@ -21,13 +21,26 @@ class Database {
 
   /// Deep copy of the whole catalog (every table cloned, creation order
   /// preserved). A clone is indistinguishable from a database repopulated
-  /// with the same seed; the dataset cache relies on that.
+  /// with the same seed. The dataset cache clones its prototype only to
+  /// create a pooled working copy, which it then resets by rollback().
   Database clone() const {
     Database out;
     out.names_ = names_;
     out.catalogSig_ = catalogSig_;
     for (const auto& [name, t] : tables_) out.tables_.emplace(name, t->clone());
     return out;
+  }
+
+  /// Starts journaling row writes in every table (see Table::beginJournal).
+  /// Tables created afterwards are not journaled.
+  void beginJournal() {
+    for (auto& [_, t] : tables_) t->beginJournal();
+  }
+
+  /// Undoes every row write since beginJournal() or the last rollback(), so
+  /// the database again equals the state the journal started from.
+  void rollback() {
+    for (auto& [_, t] : tables_) t->rollback();
   }
 
   Table& createTable(TableSchema schema) {

@@ -1,5 +1,6 @@
 #include "db/table.hpp"
 
+#include <iterator>
 #include <stdexcept>
 
 namespace mwsim::db {
@@ -9,6 +10,36 @@ std::size_t rowBytes(const Row& row) {
   std::size_t n = 0;
   for (const Value& v : row) n += v.byteSize() + 8;
   return n;
+}
+
+/// Removes `id`'s entry from `key`'s equal range; returns the entry's rank
+/// within that range.
+std::size_t unlink(std::multimap<Value, RowId>& index, const Value& key, RowId id) {
+  auto [lo, hi] = index.equal_range(key);
+  std::size_t rank = 0;
+  for (auto i = lo; i != hi; ++i, ++rank) {
+    if (i->second == id) {
+      index.erase(i);
+      break;
+    }
+  }
+  return rank;
+}
+
+/// Puts `id`'s entry back at `rank` within `key`'s equal range: emplace_hint
+/// inserts just before the hint, and the hint is the entry that currently
+/// holds that rank (or the range's end).
+void relink(std::multimap<Value, RowId>& index, const Value& key, RowId id,
+            std::size_t rank) {
+  auto at = index.lower_bound(key);
+  std::advance(at, static_cast<std::ptrdiff_t>(rank));
+  index.emplace_hint(at, key, id);
+}
+
+/// Removes the newest entry of `key`'s equal range: emplace without a hint
+/// appends to the range, so that is the entry the write being undone added.
+void unlinkNewest(std::multimap<Value, RowId>& index, const Value& key) {
+  index.erase(std::prev(index.upper_bound(key)));
 }
 }  // namespace
 
@@ -48,6 +79,7 @@ std::int64_t Table::insert(Row row) {
   tombstone_.push_back(false);
   ++liveRows_;
   indexInsert(id);
+  if (journaling_) journal_.push_back({JournalEntry::Kind::Insert, id, 0, {}, {}});
   return keyOut;
 }
 
@@ -99,28 +131,83 @@ void Table::updateCell(RowId id, std::size_t column, Value v) {
     pkIndex_.erase(row[column]);
     pkIndex_.emplace(v, id);
   }
+  std::vector<std::size_t> ranks;
   auto sec = secondary_.find(column);
   if (sec != secondary_.end()) {
-    auto [lo, hi] = sec->second.equal_range(row[column]);
-    for (auto i = lo; i != hi; ++i) {
-      if (i->second == id) {
-        sec->second.erase(i);
-        break;
-      }
-    }
+    const std::size_t rank = unlink(sec->second, row[column], id);
+    if (journaling_) ranks.push_back(rank);
     sec->second.emplace(v, id);
   }
   approxBytes_ -= row[column].byteSize();
   approxBytes_ += v.byteSize();
+  if (journaling_) {
+    journal_.push_back({JournalEntry::Kind::Update, id, column, std::move(row[column]),
+                        std::move(ranks)});
+  }
   row[column] = std::move(v);
 }
 
 void Table::erase(RowId id) {
   if (!isLive(id)) return;
-  indexErase(id);
+  std::vector<std::size_t> ranks;
+  indexErase(id, journaling_ ? &ranks : nullptr);
   approxBytes_ -= rowBytes(rows_[id]);
   tombstone_[id] = true;
   --liveRows_;
+  if (journaling_) journal_.push_back({JournalEntry::Kind::Erase, id, 0, {}, std::move(ranks)});
+}
+
+void Table::beginJournal() {
+  journaling_ = true;
+  journal_.clear();
+  journalStart_ = {liveRows_, approxBytes_, nextAutoId_, lastInsertId_};
+}
+
+void Table::rollback() {
+  if (!journaling_) return;
+  for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) undo(*it);
+  journal_.clear();
+  liveRows_ = journalStart_.liveRows;
+  approxBytes_ = journalStart_.approxBytes;
+  nextAutoId_ = journalStart_.nextAutoId;
+  lastInsertId_ = journalStart_.lastInsertId;
+}
+
+// Entries are undone newest first, so each one meets the table exactly as
+// its write left it: an inserted row is still the last slot, and a rank
+// recorded against an equal-key range indexes that same range again.
+void Table::undo(JournalEntry& entry) {
+  const RowId id = entry.id;
+  Row& row = rows_[id];
+  switch (entry.kind) {
+    case JournalEntry::Kind::Insert:
+      if (schema_.primaryKey) pkIndex_.erase(row[*schema_.primaryKey]);
+      for (auto& [col, index] : secondary_) unlinkNewest(index, row[col]);
+      rows_.pop_back();
+      tombstone_.pop_back();
+      break;
+    case JournalEntry::Kind::Update: {
+      const std::size_t column = entry.column;
+      if (isPrimaryKeyColumn(column)) {
+        pkIndex_.erase(row[column]);
+        pkIndex_.emplace(entry.old, id);
+      }
+      auto sec = secondary_.find(column);
+      if (sec != secondary_.end()) {
+        unlinkNewest(sec->second, row[column]);
+        relink(sec->second, entry.old, id, entry.ranks.front());
+      }
+      row[column] = std::move(entry.old);
+      break;
+    }
+    case JournalEntry::Kind::Erase: {
+      tombstone_[id] = false;
+      if (schema_.primaryKey) pkIndex_.emplace(row[*schema_.primaryKey], id);
+      auto rank = entry.ranks.begin();
+      for (auto& [col, index] : secondary_) relink(index, row[col], id, *rank++);
+      break;
+    }
+  }
 }
 
 void Table::indexInsert(RowId id) {
@@ -129,17 +216,12 @@ void Table::indexInsert(RowId id) {
   for (auto& [col, index] : secondary_) index.emplace(row[col], id);
 }
 
-void Table::indexErase(RowId id) {
+void Table::indexErase(RowId id, std::vector<std::size_t>* ranks) {
   const Row& row = rows_[id];
   if (schema_.primaryKey) pkIndex_.erase(row[*schema_.primaryKey]);
   for (auto& [col, index] : secondary_) {
-    auto [lo, hi] = index.equal_range(row[col]);
-    for (auto i = lo; i != hi; ++i) {
-      if (i->second == id) {
-        index.erase(i);
-        break;
-      }
-    }
+    const std::size_t rank = unlink(index, row[col], id);
+    if (ranks) ranks->push_back(rank);
   }
 }
 

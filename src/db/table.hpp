@@ -21,14 +21,20 @@ using RowId = std::uint32_t;
 ///
 /// Rows are stored in a stable vector; deletes tombstone the slot. RowIds
 /// are stable for the lifetime of the row.
+///
+/// A table can journal its writes (beginJournal) and later undo them
+/// (rollback), returning to a state indistinguishable from the one the
+/// journal started at. The dataset cache resets its pooled working copies
+/// that way, so a run pays for the rows it wrote, not for the whole table.
 class Table {
  public:
   explicit Table(TableSchema schema);
   Table& operator=(const Table&) = delete;
 
-  /// Exact deep copy — rows, tombstones, indexes, and auto-increment state —
-  /// so a cloned table behaves identically to one repopulated from the same
-  /// seed. Used by the dataset cache to stamp out per-run databases.
+  /// Exact deep copy — rows, tombstones, indexes, auto-increment state and
+  /// any open journal — so a cloned table behaves identically to one
+  /// repopulated from the same seed. The dataset cache clones its prototype
+  /// once per concurrently running copy.
   std::unique_ptr<Table> clone() const {
     return std::unique_ptr<Table>(new Table(*this));
   }
@@ -69,6 +75,18 @@ class Table {
 
   /// Tombstones a row and removes it from all indexes.
   void erase(RowId id);
+
+  /// Starts journaling: from here on every insert, updateCell and erase is
+  /// recorded so rollback() can undo it. Discards any earlier journal.
+  void beginJournal();
+
+  /// Undoes every write journaled since beginJournal() or the last
+  /// rollback(), newest first, and keeps journaling. Afterwards the table
+  /// equals its state at that point through the whole public API: rows,
+  /// tombstones, pk lookups, the order of entries within each secondary
+  /// index's equal-key ranges (which unsorted results and LIMIT depend on),
+  /// sizes, byte counts and the next auto-increment id.
+  void rollback();
 
   /// Visits every live row id in storage order.
   template <typename Fn>
@@ -126,8 +144,30 @@ class Table {
  private:
   Table(const Table&) = default;  // via clone() only
 
+  /// One undoable write. `ranks` holds, for every secondary index the write
+  /// took an entry out of, that entry's position within its equal-key range
+  /// (Update: at most one index, the column's; Erase: one per index, in
+  /// secondary_ order), so rollback can put it back at exactly that spot.
+  struct JournalEntry {
+    enum class Kind : std::uint8_t { Insert, Update, Erase };
+    Kind kind = Kind::Insert;
+    RowId id = 0;
+    std::size_t column = 0;  // Update only
+    Value old;               // Update only: the overwritten value
+    std::vector<std::size_t> ranks;
+  };
+
+  /// Values restored wholesale by rollback rather than undone step by step.
+  struct Scalars {
+    std::size_t liveRows = 0;
+    std::size_t approxBytes = 0;
+    std::int64_t nextAutoId = 1;
+    std::int64_t lastInsertId = 0;
+  };
+
   void indexInsert(RowId id);
-  void indexErase(RowId id);
+  void indexErase(RowId id, std::vector<std::size_t>* ranks);
+  void undo(JournalEntry& entry);
 
   TableSchema schema_;
   std::vector<Row> rows_;
@@ -140,6 +180,10 @@ class Table {
   std::map<std::size_t, std::multimap<Value, RowId>> secondary_;
   std::int64_t nextAutoId_ = 1;
   std::int64_t lastInsertId_ = 0;
+
+  bool journaling_ = false;
+  std::vector<JournalEntry> journal_;
+  Scalars journalStart_;
 };
 
 }  // namespace mwsim::db

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "db/database.hpp"
@@ -42,11 +43,12 @@ class DbCluster {
   /// single-server path.
   explicit DbCluster(DatabaseServer& server) : backends_{&server} {}
 
-  /// Owning mode: one DatabaseServer per (machine, database clone) pair.
-  /// `machines` and `databases` must be the same length; the databases are
-  /// moved into stable storage here so the servers can hold references.
+  /// One DatabaseServer per (machine, database) pair, owned by the cluster.
+  /// `machines` and `databases` must be the same length. The databases are
+  /// borrowed: the caller keeps them alive and in place until the cluster
+  /// is destroyed, and may reuse them afterwards.
   DbCluster(sim::Simulation& simulation, const CostModel& cost, DbPolicy policy,
-            std::vector<net::Machine*> machines, std::vector<db::Database> databases);
+            std::vector<net::Machine*> machines, std::span<db::Database> databases);
 
   DbCluster(const DbCluster&) = delete;
   DbCluster& operator=(const DbCluster&) = delete;
@@ -74,9 +76,6 @@ class DbCluster {
   sim::Mutex* writeStream() noexcept { return writeStream_.get(); }
 
  private:
-  // Owning mode only; sized once in the constructor, never resized, so the
-  // DatabaseServer references into it stay valid.
-  std::vector<db::Database> databases_;
   std::vector<std::unique_ptr<DatabaseServer>> owned_;
   std::vector<DatabaseServer*> backends_;
   DbPolicy policy_ = DbPolicy::MasterReplica;

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
+#include "core/dataset_cache.hpp"
 #include "core/experiment.hpp"
 #include "workload/client.hpp"
 
@@ -133,6 +139,50 @@ TEST(ExperimentTest, BrowsingMixHasNoWrites) {
 }
 
 // ----------------------------------------------------------------- workload
+
+TEST(ExperimentTest, ValidateRejectsParamsNoRunCanHonour) {
+  struct Case {
+    const char* what;
+    std::function<void(ExperimentParams&)> spoil;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Case> cases = {
+      {"zero measurement window", [](ExperimentParams& p) { p.measure = 0; }},
+      {"negative measurement window", [](ExperimentParams& p) { p.measure = -sim::kSecond; }},
+      {"negative ramp-up", [](ExperimentParams& p) { p.rampUp = -1; }},
+      {"negative ramp-down", [](ExperimentParams& p) { p.rampDown = -sim::kSecond; }},
+      {"negative clients", [](ExperimentParams& p) { p.clients = -5; }},
+      {"closed loop without clients", [](ExperimentParams& p) { p.clients = 0; }},
+      {"zero bookstore scale", [](ExperimentParams& p) { p.bookstoreScale = 0; }},
+      {"negative auction scale", [](ExperimentParams& p) { p.auctionHistoryScale = -0.1; }},
+      {"NaN bulletin-board scale", [&](ExperimentParams& p) { p.bbsHistoryScale = nan; }},
+      {"infinite bookstore scale", [&](ExperimentParams& p) { p.bookstoreScale = inf; }},
+  };
+  auto& cache = DatasetCache::global();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    auto p = smallParams(Configuration::WsPhpDb, App::Bookstore, 1, 10);
+    p.dataSeed = 0xBAD;  // a key no valid run uses, so a fetch would build
+    c.spoil(p);
+    EXPECT_THROW(validate(p), std::invalid_argument);
+    const auto builds = cache.builds();
+    EXPECT_THROW(runExperiment(p), std::invalid_argument);
+    EXPECT_EQ(cache.builds(), builds) << "rejected before any dataset is fetched";
+  }
+}
+
+TEST(ExperimentTest, ValidateAcceptsEdgeCasesThatRun) {
+  auto p = smallParams(Configuration::WsPhpDb, App::Bookstore, 1, 10);
+  EXPECT_NO_THROW(validate(p));
+  p.rampUp = 0;
+  p.rampDown = 0;
+  EXPECT_NO_THROW(validate(p));
+  // Open-loop load comes from the arrival process; zero clients is legal.
+  p.clients = 0;
+  p.scenario.mode = scenario::ArrivalMode::OpenLoop;
+  EXPECT_NO_THROW(validate(p));
+}
 
 TEST(ClientFarmTest, ThinkTimeGovernsThroughput) {
   // At low load, throughput ~= clients / (think + response) with think = 7 s.

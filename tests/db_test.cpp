@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "db/database.hpp"
 #include "db/executor.hpp"
@@ -142,6 +146,155 @@ TEST(TableTest, EraseRemovesFromIndexes) {
   int visited = 0;
   t.forEachRow([&](RowId) { ++visited; });
   EXPECT_EQ(visited, 1);
+}
+
+// ----------------------------------------------------------------- Journal
+
+/// Two secondary indexes with large equal-key ranges (150 rows per category,
+/// 200 per tag), so index order among equal keys is easy to disturb.
+TableSchema journalSchema() {
+  return SchemaBuilder("journal")
+      .intCol("id").primaryKey(/*autoIncrement=*/true)
+      .intCol("category").indexed()
+      .stringCol("tag").indexed()
+      .intCol("qty")
+      .build();
+}
+
+std::unique_ptr<Table> populatedJournalTable() {
+  auto t = std::make_unique<Table>(journalSchema());
+  for (int i = 0; i < 600; ++i) {
+    t->insert({Value(), Value(i % 4), Value("t" + std::to_string(i % 3)), Value(i)});
+  }
+  for (RowId id = 5; id < 600; id += 37) t->erase(id);  // pre-existing tombstones
+  return t;
+}
+
+/// A seeded mix of every kind of write. Returns each primary key the writes
+/// created or moved to, so the caller can probe the pk index for leftovers.
+std::vector<Value> applySeededWrites(Table& t, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<Value> keys;
+  const auto pickLive = [&] {
+    RowId id = 0;
+    do {
+      id = static_cast<RowId>(rng() % 700);
+    } while (!t.isLive(id));
+    return id;
+  };
+  for (int step = 0; step < 400; ++step) {
+    const Value cat(static_cast<std::int64_t>(rng() % 4));
+    const Value tag("t" + std::to_string(rng() % 3));
+    switch (rng() % 6) {
+      case 0:  // auto-increment insert
+        keys.emplace_back(t.insert({Value(), cat, tag, Value(step)}));
+        break;
+      case 1: {  // explicit-pk insert past the auto-increment counter
+        const Value key(t.maxAssignedId() + 1 + static_cast<std::int64_t>(rng() % 3));
+        t.insert({key, cat, tag, Value(step)});
+        keys.push_back(key);
+        break;
+      }
+      case 2: {  // move out of the middle of an equal range (or back into it)
+        const RowId id = pickLive();
+        t.updateCell(id, 1, cat);
+        t.updateCell(id, 2, tag);
+        break;
+      }
+      case 3: {  // pk update, far from ids the auto-increment will reach
+        const Value key(static_cast<std::int64_t>(1'000'000 + step));
+        t.updateCell(pickLive(), 0, key);
+        keys.push_back(key);
+        break;
+      }
+      case 4:
+        t.erase(pickLive());
+        break;
+      case 5:  // unindexed column
+        t.updateCell(pickLive(), 3, Value(-step));
+        break;
+    }
+  }
+  const Value taken = t.row(pickLive())[0];
+  EXPECT_THROW(t.insert({taken, Value(0), Value("t0"), Value(0)}), std::runtime_error);
+  return keys;
+}
+
+void expectSameValue(const Value& a, const Value& b) {
+  EXPECT_EQ(a.isNull(), b.isNull());
+  EXPECT_EQ(a.isInt(), b.isInt());
+  EXPECT_EQ(a.isString(), b.isString());
+  EXPECT_EQ(a.toDisplayString(), b.toDisplayString());
+}
+
+/// Equality through the public API only: slots, rows, counters, pk lookups
+/// (for every live row and every probed key) and the full (value, id)
+/// sequence of each secondary index.
+void expectSameTable(const Table& a, const Table& b, const std::vector<Value>& probes) {
+  EXPECT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.approxBytes(), b.approxBytes());
+  EXPECT_EQ(a.maxAssignedId(), b.maxAssignedId());
+  EXPECT_EQ(a.lastInsertId(), b.lastInsertId());
+  RowId lastLive = 0;
+  for (RowId id = 0; id < 2000; ++id) {
+    ASSERT_EQ(a.isLive(id), b.isLive(id)) << "slot " << id;
+    if (a.isLive(id)) lastLive = id;
+  }
+  // Every slot up to the last live row exists in both; compare dead ones too.
+  for (RowId id = 0; id <= lastLive; ++id) {
+    ASSERT_EQ(a.row(id).size(), b.row(id).size());
+    for (std::size_t c = 0; c < a.row(id).size(); ++c) {
+      expectSameValue(a.row(id)[c], b.row(id)[c]);
+    }
+  }
+  a.forEachRow([&](RowId id) {
+    const Value& key = a.row(id)[0];
+    EXPECT_EQ(a.findByPk(key), std::optional<RowId>(id));
+    EXPECT_EQ(b.findByPk(key), std::optional<RowId>(id));
+  });
+  for (const Value& key : probes) EXPECT_EQ(a.findByPk(key), b.findByPk(key));
+  for (const std::size_t column : {std::size_t{1}, std::size_t{2}}) {
+    const auto* ia = a.orderedIndex(column);
+    const auto* ib = b.orderedIndex(column);
+    ASSERT_NE(ia, nullptr);
+    ASSERT_NE(ib, nullptr);
+    ASSERT_EQ(ia->size(), ib->size());
+    for (auto i = ia->begin(), j = ib->begin(); i != ia->end(); ++i, ++j) {
+      expectSameValue(i->first, j->first);
+      ASSERT_EQ(i->second, j->second) << "index on column " << column;
+    }
+  }
+}
+
+TEST(TableJournalTest, RollbackRestoresExactState) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    const auto table = populatedJournalTable();
+    Table& t = *table;
+    const auto untouched = t.clone();
+    t.beginJournal();
+    std::vector<Value> probes = applySeededWrites(t, seed);
+    t.rollback();
+    expectSameTable(t, *untouched, probes);
+    // The journal stays open: a second round rolls back just as exactly.
+    const auto more = applySeededWrites(t, seed + 100);
+    probes.insert(probes.end(), more.begin(), more.end());
+    t.rollback();
+    expectSameTable(t, *untouched, probes);
+    // Same writes on both: future auto ids and index order must agree too.
+    probes = applySeededWrites(t, seed + 200);
+    applySeededWrites(*untouched, seed + 200);
+    expectSameTable(t, *untouched, probes);
+  }
+}
+
+TEST(TableJournalTest, RollbackWithoutJournalIsANoOp) {
+  const auto table = populatedJournalTable();
+  Table& t = *table;
+  const auto before = t.clone();
+  t.insert({Value(), Value(1), Value("t1"), Value(1)});
+  t.rollback();  // nothing was journaled: the insert stays
+  EXPECT_EQ(t.size(), before->size() + 1);
 }
 
 // ------------------------------------------------------------------- Lexer

@@ -1,7 +1,9 @@
 /// Regression tests for the parallel-sweep determinism contract:
 ///
 ///  * runExperiment is a pure function of its params — repeated calls are
-///    bit-identical (the dataset cache hands out exact clones);
+///    bit-identical (the dataset cache hands out working copies that are
+///    exact: a fresh clone of the prototype, or a pooled copy whose previous
+///    run's writes were rolled back, and never the copy of a run that threw);
 ///  * a parallel sweep (jobs > 1) returns results bit-identical to the
 ///    sequential sweep, because every point's randomness derives only from
 ///    its own (config, clients) coordinates, never from scheduling;
@@ -13,11 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "core/dataset_cache.hpp"
 #include "core/experiment.hpp"
 #include "middleware/db_session.hpp"
+#include "scenario/events.hpp"
 
 namespace mwsim::core {
 namespace {
@@ -84,15 +88,75 @@ TEST(DeterminismTest, RepeatedRunsAreBitIdentical) {
 }
 
 TEST(DeterminismTest, CachedCloneMatchesFreshPopulation) {
-  // The first run for a key populates the prototype; the second starts from
-  // a clone. If clone() missed any state, the pair diverges.
-  auto p = tinyParams(App::Bookstore);
-  p.config = Configuration::WsServletDb;
-  p.seed = 7;
-  p.bookstoreScale = 0.03;  // private key for this test
+  // One key, one sequence of runs. A run right after clear() starts from a
+  // fresh clone of a freshly populated prototype; every other run starts
+  // from the pooled copy the previous run wrote to and rolled back. If the
+  // rollback missed any state, a pooled run diverges from its fresh twin.
+  auto& cache = DatasetCache::global();
+  auto ordering = tinyParams(App::Bookstore);
+  ordering.mix = 2;  // writes orders, deletes from shopping_cart_line
+  ordering.config = Configuration::WsServletDb;
+  ordering.seed = 7;
+  ordering.dataSeed = 77;       // shared by both mixes: one key
+  ordering.bookstoreScale = 0.03;  // private key for this test
+  auto browsing = ordering;
+  browsing.mix = 0;
+
+  cache.clear();
+  const auto orderingFresh = runExperiment(ordering);
+  const auto clones = cache.clones();
+  const auto browsingPooled = runExperiment(browsing);
+  EXPECT_EQ(cache.clones(), clones) << "a sequential run must reuse the pooled copy";
+  cache.clear();
+  const auto browsingFresh = runExperiment(browsing);
+  const auto orderingPooled = runExperiment(ordering);
+  EXPECT_EQ(cache.clones(), clones + 1);
+  expectIdentical(browsingPooled, browsingFresh);
+  expectIdentical(orderingPooled, orderingFresh);
+  EXPECT_GT(orderingFresh.readWriteInteractions, 0u) << "the sequence must write";
+}
+
+TEST(DeterminismTest, ReplicatedDatabaseRunsReusePooledCopies) {
+  // A db×2 master-replica run takes two copies; run twice, the second run
+  // takes both from the pool and must not notice.
+  auto& cache = DatasetCache::global();
+  auto p = tinyParams(App::Auction);
+  p.config = Configuration::WsPhpDb;
+  p.topology = canonicalTopology(p.config);
+  p.topology->db.replicas = 2;
+  p.topology->dbPolicy = mw::DbPolicy::MasterReplica;
+  p.dataSeed = 78;
+  p.auctionHistoryScale = 0.015;  // private key for this test
+  cache.clear();
+  const auto clones = cache.clones();
   const auto first = runExperiment(p);
-  const auto again = runExperiment(p);
-  expectIdentical(first, again);
+  EXPECT_EQ(cache.clones(), clones + 2);
+  const auto second = runExperiment(p);
+  EXPECT_EQ(cache.clones(), clones + 2) << "both copies must come from the pool";
+  expectIdentical(first, second);
+  EXPECT_GT(first.readWriteInteractions, 0u);
+}
+
+TEST(DeterminismTest, FailedRunDropsItsCopies) {
+  // A run that throws after taking its copy must not return it to the
+  // pool: its state is unknown. The next run clones afresh and matches a
+  // fresh-cache run.
+  auto& cache = DatasetCache::global();
+  auto p = tinyParams(App::Bookstore);
+  p.mix = 2;
+  p.config = Configuration::WsPhpDb;
+  p.dataSeed = 79;
+  p.bookstoreScale = 0.035;  // private key for this test
+  cache.clear();
+  const auto fresh = runExperiment(p);
+  auto bad = p;
+  bad.scenario.events = {
+      scenario::replicaCrash(10 * sim::kSecond, scenario::Tier::Web, /*replica=*/3)};
+  EXPECT_THROW(runExperiment(bad), std::invalid_argument);  // after get()
+  const auto clones = cache.clones();
+  const auto after = runExperiment(p);
+  EXPECT_EQ(cache.clones(), clones + 1) << "the failed run's copy must not be pooled";
+  expectIdentical(fresh, after);
 }
 
 TEST(DeterminismTest, PointSeedDependsOnlyOnCoordinates) {

@@ -3,6 +3,8 @@
 /// confirm the simulator itself is not the bottleneck of the benches.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "apps/bookstore/schema.hpp"
 #include "db/executor.hpp"
 #include "db/parser.hpp"
@@ -205,6 +207,47 @@ void BM_PlannedAggregateFastPath(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlannedAggregateFastPath);
+
+// The two read statements the bookstore spends most of its SQL time on, as
+// the application issues them (src/apps/bookstore/bookstore.cpp). Unlike
+// BM_PlannedThreeWayJoinGroupBy they project strings, so what a query pays
+// per output row, as against per candidate, shows here.
+
+void BM_PlannedBestSellers(benchmark::State& state) {
+  auto& f = fixture();
+  const db::PlannedStatement stmt(db::parseSql(
+      "SELECT ol.ol_i_id AS i_id, i.i_title AS i_title, a.a_fname AS a_fname, "
+      "a.a_lname AS a_lname, SUM(ol.ol_qty) AS total "
+      "FROM order_line ol JOIN items i ON ol.ol_i_id = i.i_id "
+      "JOIN authors a ON i.i_a_id = a.a_id "
+      "WHERE ol.ol_o_id >= ? GROUP BY ol.ol_i_id ORDER BY total DESC LIMIT 50"));
+  const std::int64_t horizon =
+      f.exec.query("SELECT MAX(o_id) AS m FROM orders").resultSet.intAt(0, "m") - 3333;
+  for (auto _ : state) {
+    const db::Value params[] = {db::Value(horizon)};
+    benchmark::DoNotOptimize(f.exec.execute(stmt, params));
+  }
+}
+BENCHMARK(BM_PlannedBestSellers);
+
+void BM_PlannedTitleSearch(benchmark::State& state) {
+  auto& f = fixture();
+  const db::PlannedStatement stmt(db::parseSql(
+      "SELECT i.i_id, i.i_title, i.i_srp, a.a_fname, a.a_lname "
+      "FROM items i JOIN authors a ON i.i_a_id = a.a_id "
+      "WHERE i.i_title LIKE ? ORDER BY i.i_title LIMIT 50"));
+  // Three-character needles drawn the way the application draws them.
+  sim::Rng rng(7);
+  std::vector<db::Value> needles;
+  for (int i = 0; i < 16; ++i) needles.emplace_back("%" + rng.randomString(3) + "%");
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const db::Value params[] = {needles[next]};
+    benchmark::DoNotOptimize(f.exec.execute(stmt, params));
+    next = (next + 1) % needles.size();
+  }
+}
+BENCHMARK(BM_PlannedTitleSearch);
 
 // The insert benchmarks mutate the fixture (order_line grows by one row per
 // iteration), so they run last: every read benchmark above — ad hoc and

@@ -1,8 +1,9 @@
 #include "db/executor.hpp"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "db/parser.hpp"
 #include "db/plan.hpp"
@@ -79,6 +80,9 @@ Value evalBinary(BinOp op, const Value& a, const Value& b) {
       return Value(static_cast<std::int64_t>(valueIsTrue(a) || valueIsTrue(b)));
     case BinOp::Like:
       if (a.isNull() || b.isNull()) return Value(std::int64_t{0});
+      if (a.isString()) {
+        return Value(static_cast<std::int64_t>(likeMatch(a.asString(), b.asString())));
+      }
       return Value(static_cast<std::int64_t>(likeMatch(a.toDisplayString(), b.asString())));
     case BinOp::Eq:
     case BinOp::Ne:
@@ -128,34 +132,68 @@ Value evalBinary(BinOp op, const Value& a, const Value& b) {
   throw std::runtime_error("unhandled binary op");
 }
 
+const Value& paramAt(const CompiledExpr& e, std::span<const Value> params) {
+  if (e.paramIndex > params.size()) {
+    throw std::runtime_error("missing bind parameter " + std::to_string(e.paramIndex));
+  }
+  return params[e.paramIndex - 1];
+}
+
 template <typename Src>
-Value evalExpr(const CompiledExpr& e, std::span<const Value> params, const Src& src) {
+Value evalExpr(const CompiledExpr& e, std::span<const Value> params, const Src& src);
+
+/// Evaluates `e` without copying a stored operand: a column, parameter or
+/// literal comes back as a reference to where it lives; anything computed
+/// is written to `tmp` and returned from there.
+template <typename Src>
+const Value& evalRef(const CompiledExpr& e, std::span<const Value> params, const Src& src,
+                     Value& tmp) {
   switch (e.kind) {
     case Expr::Kind::Literal:
       return e.literal;
     case Expr::Kind::Param:
-      if (e.paramIndex > params.size()) {
-        throw std::runtime_error("missing bind parameter " + std::to_string(e.paramIndex));
-      }
-      return params[e.paramIndex - 1];
+      return paramAt(e, params);
     case Expr::Kind::Column:
       return src.at(e.col);
-    case Expr::Kind::Binary:
-      return evalBinary(e.op, evalExpr(*e.lhs, params, src), evalExpr(*e.rhs, params, src));
+    default:
+      tmp = evalExpr(e, params, src);
+      return tmp;
+  }
+}
+
+template <typename Src>
+Value evalExpr(const CompiledExpr& e, std::span<const Value> params, const Src& src) {
+  Value lhsTmp;
+  switch (e.kind) {
+    case Expr::Kind::Literal:
+      return e.literal;
+    case Expr::Kind::Param:
+      return paramAt(e, params);
+    case Expr::Kind::Column:
+      return src.at(e.col);
+    case Expr::Kind::Binary: {
+      Value rhsTmp;
+      return evalBinary(e.op, evalRef(*e.lhs, params, src, lhsTmp),
+                        evalRef(*e.rhs, params, src, rhsTmp));
+    }
     case Expr::Kind::In: {
-      const Value needle = evalExpr(*e.lhs, params, src);
+      const Value& needle = evalRef(*e.lhs, params, src, lhsTmp);
       if (needle.isNull()) return Value(std::int64_t{0});
+      Value itemTmp;
       for (const auto& item : e.list) {
-        if (needle.compare(evalExpr(*item, params, src)) == 0) return Value(std::int64_t{1});
+        if (needle.compare(evalRef(*item, params, src, itemTmp)) == 0) {
+          return Value(std::int64_t{1});
+        }
       }
       return Value(std::int64_t{0});
     }
     case Expr::Kind::IsNull: {
-      const bool isNull = evalExpr(*e.lhs, params, src).isNull();
+      const bool isNull = evalRef(*e.lhs, params, src, lhsTmp).isNull();
       return Value(static_cast<std::int64_t>(isNull != e.negated));
     }
     case Expr::Kind::Not:
-      return Value(static_cast<std::int64_t>(!valueIsTrue(evalExpr(*e.lhs, params, src))));
+      return Value(
+          static_cast<std::int64_t>(!valueIsTrue(evalRef(*e.lhs, params, src, lhsTmp))));
     case Expr::Kind::Aggregate:
       throw std::runtime_error("aggregate in row context");
     case Expr::Kind::Star:
@@ -164,13 +202,13 @@ Value evalExpr(const CompiledExpr& e, std::span<const Value> params, const Src& 
   throw std::runtime_error("unhandled expr kind");
 }
 
-/// One group of bindings for aggregate evaluation.
+/// One group of bindings for aggregate evaluation, members in binding order.
 struct GroupView {
   const std::vector<const Table*>* tables;
-  const std::vector<const RowId*>* members;
+  std::span<const RowId* const> members;
 
-  FlatRow member(std::size_t i) const { return FlatRow{tables, (*members)[i]}; }
-  std::size_t size() const { return members->size(); }
+  FlatRow member(std::size_t i) const { return FlatRow{tables, members[i]}; }
+  std::size_t size() const { return members.size(); }
 };
 
 Value evalAggregate(const CompiledExpr& e, std::span<const Value> params,
@@ -187,9 +225,9 @@ Value evalAggregate(const CompiledExpr& e, std::span<const Value> params,
   std::int64_t isum = 0;
   std::optional<Value> minV;
   std::optional<Value> maxV;
+  Value tmp;
   for (std::size_t i = 0; i < group.size(); ++i) {
-    const FlatRow src = group.member(i);
-    const Value v = evalExpr(*e.aggArg, params, src);
+    const Value& v = evalRef(*e.aggArg, params, group.member(i), tmp);
     if (v.isNull()) continue;
     ++count;
     if (v.isNumeric()) {
@@ -473,6 +511,44 @@ void scanAccess(const AccessPath& a, const Table& table, std::span<const Value> 
 // ---------------------------------------------------------------------------
 // SELECT execution.
 
+/// True when `rows` already holds a row equal to `row`, column by column.
+bool containsRow(const std::vector<Row>& rows, const Row& row) {
+  for (const Row& kept : rows) {
+    bool equal = kept.size() == row.size();
+    for (std::size_t i = 0; equal && i < kept.size(); ++i) {
+      equal = kept[i].compare(row[i]) == 0;
+    }
+    if (equal) return true;
+  }
+  return false;
+}
+
+/// Hash and equality of group ids whose key values sit `width` per group in
+/// `*keys`. They read through the pointer because the vector grows while
+/// the groups are being found.
+struct GroupKeyHash {
+  const std::vector<Value>* keys;
+  std::size_t width;
+  std::size_t operator()(std::uint32_t g) const {
+    std::size_t h = 0;
+    for (std::size_t k = 0; k < width; ++k) {
+      h = h * 0x9E3779B97F4A7C15ull + (*keys)[g * width + k].hash();
+    }
+    return h;
+  }
+};
+
+struct GroupKeyEq {
+  const std::vector<Value>* keys;
+  std::size_t width;
+  bool operator()(std::uint32_t a, std::uint32_t b) const {
+    for (std::size_t k = 0; k < width; ++k) {
+      if ((*keys)[a * width + k].compare((*keys)[b * width + k]) != 0) return false;
+    }
+    return true;
+  }
+};
+
 class SelectExec {
  public:
   SelectExec(Database& db, const SelectPlan& p, std::span<const Value> params,
@@ -498,23 +574,9 @@ class SelectExec {
   }
 
  private:
-  struct SortableRow {
-    Row out;
-    std::vector<Value> keys;
-  };
-
-  // ----- single-table, non-grouped: the hot path -----
-  bool passesFilters(const SingleRow& src) const {
-    for (const auto& c : p_.baseFilter) {
-      if (!valueIsTrue(evalExpr(*c, params_, src))) return false;
-    }
-    for (const auto& c : p_.residual) {
-      if (!valueIsTrue(evalExpr(*c, params_, src))) return false;
-    }
-    return true;
-  }
-
-  Row projectSingle(const SingleRow& src) const {
+  // ----- projection and ORDER BY keys over one row source -----
+  template <typename Src>
+  Row project(const Src& src) const {
     Row out;
     out.reserve(p_.items.size());
     for (const auto& item : p_.items) {
@@ -527,28 +589,38 @@ class SelectExec {
     return out;
   }
 
+  /// An ORDER BY key of one row; an alias key is the output column it names.
+  template <typename Src>
+  Value orderKey(const SelectPlan::OrderKey& ok, const Src& src) const {
+    if (!ok.outputIndex) return evalExpr(*ok.expr, params_, src);
+    const auto& item = p_.items[*ok.outputIndex];
+    return item.direct ? src.at(*item.direct) : evalExpr(*item.expr, params_, src);
+  }
+
+  // ----- single-table, non-grouped: the hot path -----
+  bool passesFilters(const SingleRow& src) const {
+    for (const auto& c : p_.baseFilter) {
+      if (!valueIsTrue(evalExpr(*c, params_, src))) return false;
+    }
+    for (const auto& c : p_.residual) {
+      if (!valueIsTrue(evalExpr(*c, params_, src))) return false;
+    }
+    return true;
+  }
+
   void runSingle(ResultSet& rs) {
     const Table& table = *tables_[0];
     const bool needSort = !p_.orderBy.empty() && !p_.sortElided;
     const auto offset = static_cast<std::size_t>(p_.offset);
 
     if (needSort) {
-      // Collect, then the shared distinct/sort/slice tail.
-      std::vector<SortableRow> rows;
+      std::vector<RowId> matches;
       scanAccess(p_.access, table, params_, stats_, [&](RowId id) {
-        const SingleRow src{&table.row(id)};
-        if (!passesFilters(src)) return true;
-        SortableRow r;
-        r.out = projectSingle(src);
-        r.keys.reserve(p_.orderBy.size());
-        for (const auto& ok : p_.orderBy) {
-          if (ok.outputIndex) r.keys.push_back(r.out[*ok.outputIndex]);
-          else r.keys.push_back(evalExpr(*ok.expr, params_, src));
-        }
-        rows.push_back(std::move(r));
+        if (passesFilters(SingleRow{&table.row(id)})) matches.push_back(id);
         return true;
       });
-      finish(rows, rs);
+      emitRows(matches.size(), [&](std::size_t i) { return SingleRow{&table.row(matches[i])}; },
+               rs);
       return;
     }
 
@@ -562,14 +634,8 @@ class SelectExec {
       scanAccess(p_.access, table, params_, stats_, [&](RowId id) {
         const SingleRow src{&table.row(id)};
         if (!passesFilters(src)) return true;
-        Row out = projectSingle(src);
-        for (const Row& kept : uniques) {
-          bool equal = kept.size() == out.size();
-          for (std::size_t i = 0; equal && i < kept.size(); ++i) {
-            equal = kept[i].compare(out[i]) == 0;
-          }
-          if (equal) return true;
-        }
+        Row out = project(src);
+        if (containsRow(uniques, out)) return true;
         uniques.push_back(std::move(out));
         return !(want && uniques.size() >= *want);
       });
@@ -593,15 +659,13 @@ class SelectExec {
         return true;
       }
       if (p_.limit && rs.rows.size() >= static_cast<std::size_t>(*p_.limit)) return false;
-      rs.rows.push_back(projectSingle(src));
+      rs.rows.push_back(project(src));
       return !(p_.limit && rs.rows.size() >= static_cast<std::size_t>(*p_.limit));
     });
   }
 
   // ----- joins and/or grouping: flat bindings, no early exit -----
   void runGeneric(ResultSet& rs) {
-    const std::size_t width = tables_.size();
-
     // Base access + base-only filter pushdown.
     std::vector<RowId> flat;  // bindings, `stride` ids each
     std::size_t stride = 1;
@@ -627,10 +691,11 @@ class SelectExec {
           next.insert(next.end(), ids, ids + stride);
           next.push_back(id);
         };
+        Value keyTmp;
         switch (step.kind) {
           case SelectPlan::JoinStep::Kind::PkLookup: {
             stats_.usedIndex = true;
-            const Value key = evalExpr(*step.outerKey, params_, FlatRow{&tables_, ids});
+            const Value& key = evalRef(*step.outerKey, params_, FlatRow{&tables_, ids}, keyTmp);
             if (key.isNull()) break;  // NULL never joins
             if (auto id = inner.findByPk(key)) {
               ++stats_.rowsExamined;
@@ -641,7 +706,7 @@ class SelectExec {
           }
           case SelectPlan::JoinStep::Kind::IndexLookup: {
             stats_.usedIndex = true;
-            const Value key = evalExpr(*step.outerKey, params_, FlatRow{&tables_, ids});
+            const Value& key = evalRef(*step.outerKey, params_, FlatRow{&tables_, ids}, keyTmp);
             if (key.isNull()) break;
             for (RowId id : inner.findByIndex(step.innerColumn, key)) {
               ++stats_.rowsExamined;
@@ -651,7 +716,7 @@ class SelectExec {
             break;
           }
           case SelectPlan::JoinStep::Kind::ScanEq: {
-            const Value key = evalExpr(*step.outerKey, params_, FlatRow{&tables_, ids});
+            const Value& key = evalRef(*step.outerKey, params_, FlatRow{&tables_, ids}, keyTmp);
             inner.forEachRow([&](RowId id) {
               ++stats_.rowsExamined;
               stats_.bytesExamined += innerBytes;
@@ -691,126 +756,180 @@ class SelectExec {
       flat = std::move(kept);
     }
 
-    (void)width;
-    std::vector<SortableRow> rows;
-    const std::size_t n = flat.size() / stride;
     if (p_.grouped) {
-      projectGrouped(flat, stride, n, rows);
-    } else {
-      for (std::size_t b = 0; b < n; ++b) {
-        const FlatRow src{&tables_, flat.data() + b * stride};
-        SortableRow r;
-        r.out.reserve(p_.items.size());
-        for (const auto& item : p_.items) {
-          if (item.direct) r.out.push_back(src.at(*item.direct));
-          else r.out.push_back(evalExpr(*item.expr, params_, src));
-        }
-        r.keys.reserve(p_.orderBy.size());
-        for (const auto& ok : p_.orderBy) {
-          if (ok.outputIndex) r.keys.push_back(r.out[*ok.outputIndex]);
-          else r.keys.push_back(evalExpr(*ok.expr, params_, src));
-        }
-        rows.push_back(std::move(r));
-      }
+      runGrouped(flat, stride, rs);
+      return;
     }
-    finish(rows, rs);
+    emitRows(flat.size() / stride,
+             [&](std::size_t b) { return FlatRow{&tables_, flat.data() + b * stride}; }, rs);
   }
 
-  void projectGrouped(const std::vector<RowId>& flat, std::size_t stride, std::size_t n,
-                      std::vector<SortableRow>& rows) {
-    // Group keys are compared with Value::compare via std::map, so group
-    // iteration (and thus pre-sort output order) is deterministic.
-    std::map<std::vector<Value>, std::vector<const RowId*>> groups;
-    for (std::size_t b = 0; b < n; ++b) {
-      const RowId* ids = flat.data() + b * stride;
-      const FlatRow src{&tables_, ids};
-      std::vector<Value> key;
-      key.reserve(p_.groupKeys.size());
-      for (const auto& g : p_.groupKeys) key.push_back(evalExpr(*g, params_, src));
-      groups[std::move(key)].push_back(ids);
+  /// Groups the bindings and emits one row per group. A hash table over the
+  /// group keys gives every binding its group id; a counting pass then lays
+  /// each group's members out contiguously in binding order, so aggregates
+  /// accumulate in binding order and double SUM/AVG do not depend on how
+  /// groups are found. Groups are visited in ascending key order: that is
+  /// the output order without ORDER BY, and the tie order under one (Best
+  /// Sellers ties on `total`).
+  void runGrouped(const std::vector<RowId>& flat, std::size_t stride, ResultSet& rs) {
+    const std::size_t n = flat.size() / stride;
+    const std::size_t width = p_.groupKeys.size();
+    // Key values, `width` per group, groups numbered in order of first arrival.
+    std::vector<Value> keys;
+    std::vector<std::uint32_t> groupOf(n, 0);
+    std::size_t groups = 0;
+    if (width == 0) {
+      groups = 1;  // even over empty input: aggregates then produce one row
+    } else {
+      const GroupKeyHash hash{&keys, width};
+      const GroupKeyEq eq{&keys, width};
+      std::unordered_set<std::uint32_t, GroupKeyHash, GroupKeyEq> index(0, hash, eq);
+      for (std::size_t b = 0; b < n; ++b) {
+        // Stage the binding's key as a new group's; drop it if it exists.
+        const FlatRow src{&tables_, flat.data() + b * stride};
+        for (const auto& g : p_.groupKeys) keys.push_back(evalExpr(*g, params_, src));
+        const auto [it, fresh] = index.insert(static_cast<std::uint32_t>(groups));
+        if (fresh) {
+          ++groups;
+        } else {
+          keys.resize(groups * width);
+        }
+        groupOf[b] = *it;
+      }
     }
-    if (groups.empty() && p_.groupKeys.empty()) {
-      groups[{}] = {};  // aggregates over an empty input produce one row
+    stats_.aggregatedGroups += groups;
+
+    // Group g's members are members[start[g], start[g + 1]).
+    std::vector<std::size_t> start(groups + 1, 0);
+    for (std::uint32_t g : groupOf) ++start[g + 1];
+    for (std::size_t g = 0; g < groups; ++g) start[g + 1] += start[g];
+    std::vector<const RowId*> members(n);
+    {
+      std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+      for (std::size_t b = 0; b < n; ++b) members[fill[groupOf[b]]++] = flat.data() + b * stride;
     }
-    stats_.aggregatedGroups += groups.size();
-    for (auto& [key, members] : groups) {
-      const GroupView group{&tables_, &members};
-      if (members.empty() && !p_.groupKeys.empty()) continue;
-      if (p_.having && !members.empty() &&
-          !valueIsTrue(evalGrouped(*p_.having, params_, group))) {
+    auto group = [&](std::size_t g) {
+      return GroupView{&tables_, std::span<const RowId* const>(members).subspan(
+                                     start[g], start[g + 1] - start[g])};
+    };
+
+    std::vector<std::uint32_t> visit(groups);
+    std::iota(visit.begin(), visit.end(), std::uint32_t{0});
+    std::sort(visit.begin(), visit.end(), [&](std::uint32_t a, std::uint32_t b) {
+      for (std::size_t k = 0; k < width; ++k) {
+        const int c = keys[a * width + k].compare(keys[b * width + k]);
+        if (c != 0) return c < 0;
+      }
+      return a < b;
+    });
+
+    std::vector<std::uint32_t> kept;
+    kept.reserve(groups);
+    for (std::uint32_t g : visit) {
+      const GroupView view = group(g);
+      if (p_.having && view.size() > 0 &&
+          !valueIsTrue(evalGrouped(*p_.having, params_, view))) {
         continue;
       }
-      SortableRow r;
-      r.out.reserve(p_.items.size());
-      for (const auto& item : p_.items) {
-        if (members.empty()) {
-          // COUNT over empty input is 0; anything else is NULL.
-          if (item.expr && item.expr->kind == Expr::Kind::Aggregate &&
-              item.expr->agg == AggFunc::Count) {
-            r.out.push_back(Value(std::int64_t{0}));
-          } else {
-            r.out.push_back(Value());
-          }
-        } else if (item.direct) {
-          r.out.push_back(group.member(0).at(*item.direct));
-        } else {
-          r.out.push_back(evalGrouped(*item.expr, params_, group));
-        }
-      }
-      r.keys.reserve(p_.orderBy.size());
-      for (const auto& ok : p_.orderBy) {
-        if (ok.outputIndex) {
-          r.keys.push_back(r.out[*ok.outputIndex]);
-        } else if (!members.empty()) {
-          r.keys.push_back(evalGrouped(*ok.expr, params_, group));
-        } else {
-          r.keys.push_back(Value());
-        }
-      }
-      rows.push_back(std::move(r));
+      kept.push_back(g);
     }
+    emitOrdered(
+        kept.size(),
+        [&](std::size_t i) {
+          const GroupView view = group(kept[i]);
+          Row out;
+          out.reserve(p_.items.size());
+          for (const auto& item : p_.items) out.push_back(groupItem(item, view));
+          return out;
+        },
+        [&](std::size_t i, const SelectPlan::OrderKey& ok) {
+          const GroupView view = group(kept[i]);
+          if (ok.outputIndex) return groupItem(p_.items[*ok.outputIndex], view);
+          return view.size() > 0 ? evalGrouped(*ok.expr, params_, view) : Value();
+        },
+        rs);
   }
 
-  /// Shared tail: DISTINCT, ORDER BY, OFFSET/LIMIT.
-  void finish(std::vector<SortableRow>& rows, ResultSet& rs) {
+  /// One output column of a group. The one group of an ungrouped aggregate
+  /// over empty input has no members: COUNT is 0 there, anything else NULL.
+  Value groupItem(const SelectPlan::OutItem& item, const GroupView& group) const {
+    if (group.size() == 0) {
+      const bool count = item.expr && item.expr->kind == Expr::Kind::Aggregate &&
+                         item.expr->agg == AggFunc::Count;
+      return count ? Value(std::int64_t{0}) : Value();
+    }
+    if (item.direct) return group.member(0).at(*item.direct);
+    return evalGrouped(*item.expr, params_, group);
+  }
+
+  /// emitOrdered over non-grouped candidates; `rowAt(i)` is candidate i's
+  /// row source.
+  template <typename RowAt>
+  void emitRows(std::size_t n, RowAt&& rowAt, ResultSet& rs) {
+    emitOrdered(
+        n, [&](std::size_t i) { return project(rowAt(i)); },
+        [&](std::size_t i, const SelectPlan::OrderKey& ok) { return orderKey(ok, rowAt(i)); },
+        rs);
+  }
+
+  /// The one tail for every path that collects its candidates before
+  /// emitting: DISTINCT, ORDER BY, OFFSET/LIMIT. Candidates are numbered in
+  /// arrival order (a RowId, a binding or a group); `project(i)` builds
+  /// candidate i's output row, `key(i, orderKey)` one of its ORDER BY keys.
+  /// Each candidate is carried only as its keys, packed flat, plus its
+  /// arrival index. The rows inside OFFSET/LIMIT are picked by (keys,
+  /// arrival index), which is what a stable sort of every candidate and a
+  /// slice return, and only those rows are projected.
+  template <typename Project, typename Key>
+  void emitOrdered(std::size_t n, Project&& project, Key&& key, ResultSet& rs) {
+    const std::size_t width = p_.orderBy.size();
+    std::vector<Value> keys;
+    std::vector<Row> uniques;
     if (p_.distinct) {
-      // First occurrence of each distinct projected row wins.
-      std::vector<SortableRow> unique;
-      unique.reserve(rows.size());
-      for (auto& row : rows) {
-        bool seen = false;
-        for (const auto& kept : unique) {
-          bool equal = kept.out.size() == row.out.size();
-          for (std::size_t i = 0; equal && i < kept.out.size(); ++i) {
-            equal = kept.out[i].compare(row.out[i]) == 0;
-          }
-          if (equal) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) unique.push_back(std::move(row));
+      // DISTINCT compares finished rows, so every candidate is projected
+      // here. The first occurrence of a row wins, and with it its keys.
+      for (std::size_t i = 0; i < n; ++i) {
+        Row out = project(i);
+        if (containsRow(uniques, out)) continue;
+        for (const auto& ok : p_.orderBy) keys.push_back(key(i, ok));
+        uniques.push_back(std::move(out));
       }
-      rows = std::move(unique);
+      n = uniques.size();
+    } else {
+      keys.reserve(n * width);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (const auto& ok : p_.orderBy) keys.push_back(key(i, ok));
+      }
     }
+    auto emit = [&](std::size_t i) {
+      rs.rows.push_back(p_.distinct ? std::move(uniques[i]) : project(i));
+    };
 
-    if (!p_.orderBy.empty()) {
-      stats_.rowsSorted += rows.size();
-      std::stable_sort(rows.begin(), rows.end(),
-                       [&](const SortableRow& a, const SortableRow& b) {
-                         for (std::size_t i = 0; i < p_.orderBy.size(); ++i) {
-                           const int c = a.keys[i].compare(b.keys[i]);
-                           if (c != 0) return p_.orderBy[i].descending ? c > 0 : c < 0;
-                         }
-                         return false;
-                       });
-    }
-
-    const std::size_t begin =
-        std::min<std::size_t>(rows.size(), static_cast<std::size_t>(p_.offset));
-    std::size_t end = rows.size();
+    const std::size_t begin = std::min<std::size_t>(n, static_cast<std::size_t>(p_.offset));
+    std::size_t end = n;
     if (p_.limit) end = std::min(end, begin + static_cast<std::size_t>(*p_.limit));
-    for (std::size_t i = begin; i < end; ++i) rs.rows.push_back(std::move(rows[i].out));
+    if (width == 0) {
+      for (std::size_t i = begin; i < end; ++i) emit(i);
+      return;
+    }
+    // The modeled filesort sorts every candidate, whatever the host skips.
+    stats_.rowsSorted += n;
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    auto before = [&](std::size_t a, std::size_t b) {
+      for (std::size_t k = 0; k < width; ++k) {
+        const int c = keys[a * width + k].compare(keys[b * width + k]);
+        if (c != 0) return p_.orderBy[k].descending ? c > 0 : c < 0;
+      }
+      return a < b;
+    };
+    const auto mid = order.begin() + static_cast<std::ptrdiff_t>(end);
+    if (mid == order.end()) {
+      std::sort(order.begin(), order.end(), before);
+    } else {
+      std::partial_sort(order.begin(), mid, order.end(), before);
+    }
+    for (std::size_t i = begin; i < end; ++i) emit(order[i]);
   }
 
   /// O(1) MAX/MIN/COUNT(*) from index metadata. Whether the table is empty

@@ -70,12 +70,21 @@ int Value::compare(const Value& other) const {
 std::size_t Value::hash() const {
   if (isNull()) return 0x9E3779B9u;
   if (isString()) return std::hash<std::string>{}(std::get<std::string>(v_));
-  // Hash ints and integral doubles identically so 1 and 1.0 probe the same
-  // bucket (they compare equal).
-  if (isInt()) return std::hash<std::int64_t>{}(std::get<std::int64_t>(v_));
-  const double d = std::get<double>(v_);
-  const double r = std::nearbyint(d);
-  if (r == d) return std::hash<std::int64_t>{}(static_cast<std::int64_t>(r));
+  // compare() orders an int against a double through the int's double
+  // value, so every number is hashed through its double value: numbers that
+  // compare equal hash equal, including an int past 2^53 and the double it
+  // rounds to. An integral double inside the int64 range (-0.0 included)
+  // hashes as that integer, so 1 and 1.0 share a bucket; the range check
+  // keeps the conversion defined.
+  constexpr std::int64_t kExact = std::int64_t{1} << 53;  // ints that convert exactly
+  if (const auto* i = std::get_if<std::int64_t>(&v_); i && *i >= -kExact && *i <= kExact) {
+    return std::hash<std::int64_t>{}(*i);
+  }
+  const double d = isInt() ? static_cast<double>(std::get<std::int64_t>(v_))
+                           : std::get<double>(v_);
+  if (d >= -0x1p63 && d < 0x1p63 && std::trunc(d) == d) {
+    return std::hash<std::int64_t>{}(static_cast<std::int64_t>(d));
+  }
   return std::hash<double>{}(d);
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -42,6 +44,25 @@ TEST(ValueTest, StringComparison) {
 TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value(7).hash(), Value(7.0).hash());
   EXPECT_EQ(Value("abc").hash(), Value(std::string("abc")).hash());
+}
+
+TEST(ValueTest, HashAgreesWithCompare) {
+  constexpr std::int64_t kTwo53 = std::int64_t{1} << 53;
+  const std::pair<Value, Value> equalPairs[] = {
+      {Value(kTwo53), Value(static_cast<double>(kTwo53))},
+      {Value(kTwo53 + 1), Value(static_cast<double>(kTwo53))},  // int rounds to 2^53
+      {Value(-kTwo53 - 1), Value(-static_cast<double>(kTwo53))},
+      {Value(0.0), Value(-0.0)},
+      {Value(0), Value(-0.0)},
+      {Value(1e300), Value(1e300)},
+      {Value(-1e300), Value(-1e300)},
+      {Value(0x1p63), Value(std::numeric_limits<std::int64_t>::max())},
+      {Value(-0x1p63), Value(std::numeric_limits<std::int64_t>::min())},
+  };
+  for (const auto& [a, b] : equalPairs) {
+    ASSERT_EQ(a.compare(b), 0) << a.toDisplayString() << " vs " << b.toDisplayString();
+    EXPECT_EQ(a.hash(), b.hash()) << a.toDisplayString() << " vs " << b.toDisplayString();
+  }
 }
 
 TEST(ValueTest, Conversions) {
@@ -959,6 +980,112 @@ TEST_F(SqlFeatureTest, ParserErrorsOnBadIn) {
   EXPECT_THROW(exec_.query("SELECT id FROM f WHERE id IN ()"), std::runtime_error);
   EXPECT_THROW(exec_.query("SELECT id FROM f WHERE id IN (1, 2"), std::runtime_error);
   EXPECT_THROW(exec_.query("SELECT id FROM f WHERE id IS 5"), std::runtime_error);
+}
+
+// ---------------------------------------------- tie order of a sorted slice
+
+/// ORDER BY over a non-unique key with LIMIT/OFFSET: rows that tie keep
+/// their arrival order, as if every candidate were stable-sorted and then
+/// sliced. The access paths below deliver rows in an order other than RowId
+/// order, so these pin what the differential oracle (which only knows
+/// full-scan order) cannot.
+class TieOrderTest : public ::testing::Test {
+ protected:
+  TieOrderTest() : exec_(db_) {
+    db_.createTable(SchemaBuilder("t")
+                        .intCol("id").primaryKey()
+                        .intCol("g").indexed()
+                        .intCol("r")
+                        .build());
+    db_.createTable(SchemaBuilder("p").intCol("id").primaryKey().build());
+    db_.createTable(SchemaBuilder("c")
+                        .intCol("id").primaryKey()
+                        .intCol("p_id").indexed()
+                        .intCol("r")
+                        .build());
+    for (int id = 1; id <= 24; ++id) {
+      const Value params[] = {Value(id), Value(id % 3)};
+      exec_.query("INSERT INTO t VALUES (?, 1, ?)", params);
+    }
+    // Move the even ids to the end of g = 1's index entries, newest last:
+    // the index now yields 1, 3, ..., 23, 24, 22, ..., 2.
+    for (const char* g : {"0", "1"}) {
+      for (int id = 24; id >= 2; id -= 2) {
+        const Value params[] = {Value(id)};
+        exec_.query(std::string("UPDATE t SET g = ") + g + " WHERE id = ?", params);
+      }
+    }
+    for (int id = 1; id <= 4; ++id) {
+      const Value params[] = {Value(id)};
+      exec_.query("INSERT INTO p VALUES (?)", params);
+    }
+    for (int id = 1; id <= 24; ++id) {
+      const Value params[] = {Value(id), Value(4 - id % 4), Value(id % 3)};
+      exec_.query("INSERT INTO c VALUES (?, ?, ?)", params);
+    }
+  }
+
+  /// Ids of `arrival` (id, key) pairs after a stable sort on the key and
+  /// the OFFSET/LIMIT slice.
+  static std::vector<std::int64_t> stableSlice(
+      std::vector<std::pair<std::int64_t, std::int64_t>> arrival, bool descending,
+      std::size_t limit, std::size_t offset) {
+    std::stable_sort(arrival.begin(), arrival.end(), [&](const auto& a, const auto& b) {
+      return descending ? a.second > b.second : a.second < b.second;
+    });
+    std::vector<std::int64_t> ids;
+    for (std::size_t i = offset; i < std::min(arrival.size(), offset + limit); ++i) {
+      ids.push_back(arrival[i].first);
+    }
+    return ids;
+  }
+
+  static std::vector<std::int64_t> ids(const ExecResult& r) {
+    std::vector<std::int64_t> out;
+    for (std::size_t i = 0; i < r.resultSet.rowCount(); ++i) {
+      out.push_back(r.resultSet.intAt(i, "id"));
+    }
+    return out;
+  }
+
+  Database db_;
+  Executor exec_;
+};
+
+TEST_F(TieOrderTest, IndexEqualityAccessKeepsArrivalOrderOnTies) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> arrival;
+  for (int id = 1; id <= 23; id += 2) arrival.emplace_back(id, id % 3);
+  for (int id = 24; id >= 2; id -= 2) arrival.emplace_back(id, id % 3);
+
+  auto asc = exec_.query("SELECT id, r FROM t WHERE g = 1 ORDER BY r LIMIT 7 OFFSET 5");
+  EXPECT_TRUE(asc.stats.usedIndex);
+  EXPECT_EQ(asc.stats.rowsExamined, 24u);
+  EXPECT_EQ(asc.stats.rowsSorted, 24u);
+  EXPECT_EQ(ids(asc), stableSlice(arrival, false, 7, 5));
+  EXPECT_EQ(ids(asc), (std::vector<std::int64_t>{18, 12, 6, 1, 7, 13, 19}));
+
+  auto desc = exec_.query("SELECT id FROM t WHERE g = 1 ORDER BY r DESC LIMIT 6 OFFSET 3");
+  EXPECT_EQ(ids(desc), stableSlice(arrival, true, 6, 3));
+}
+
+TEST_F(TieOrderTest, JoinKeepsArrivalOrderOnTies) {
+  // p is scanned in RowId order; each p row meets its c rows in index order.
+  std::vector<std::pair<std::int64_t, std::int64_t>> arrival;
+  for (int p = 1; p <= 4; ++p) {
+    for (int id = 1; id <= 24; ++id) {
+      if (4 - id % 4 == p) arrival.emplace_back(id, id % 3);
+    }
+  }
+
+  auto asc = exec_.query(
+      "SELECT c.id FROM p JOIN c ON c.p_id = p.id ORDER BY c.r LIMIT 7 OFFSET 4");
+  EXPECT_TRUE(asc.stats.usedIndex);
+  EXPECT_EQ(asc.stats.rowsSorted, 24u);
+  EXPECT_EQ(ids(asc), stableSlice(arrival, false, 7, 4));
+
+  auto desc = exec_.query(
+      "SELECT c.id FROM p JOIN c ON c.p_id = p.id ORDER BY c.r DESC LIMIT 9 OFFSET 2");
+  EXPECT_EQ(ids(desc), stableSlice(arrival, true, 9, 2));
 }
 
 }  // namespace

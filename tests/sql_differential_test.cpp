@@ -774,6 +774,27 @@ std::string whereClause(Rand& rng, const World& w, std::vector<Value>& params,
   return sql;
 }
 
+/// ORDER BY and LIMIT/OFFSET for a grouped query that selects `keys` plus
+/// the aggregates c (COUNT), sb (SUM) and mn (MIN). Half the time there is
+/// no ORDER BY and only the row set is compared. Otherwise the order is
+/// exact: by every group key (total), or by an aggregate, where groups that
+/// tie keep ascending group-key order — the Best Sellers shape.
+void groupedOrderBy(Rand& rng, const std::string& keys, GenCase& g) {
+  switch (pick(rng, 8)) {
+    case 0: g.sql += " ORDER BY " + keys; break;
+    case 1: g.sql += " ORDER BY c DESC"; break;
+    case 2: g.sql += " ORDER BY sb, " + keys; break;
+    case 3: g.sql += " ORDER BY mn DESC"; break;
+    default:
+      g.exactOrder = false;
+      return;
+  }
+  if (chance(rng, 50)) {
+    g.sql += " LIMIT " + std::to_string(1 + pick(rng, 6));
+    if (chance(rng, 40)) g.sql += " OFFSET " + std::to_string(pick(rng, 4));
+  }
+}
+
 /// Random single-table SELECT, covering point/range/IN/LIKE access, bare
 /// LIMIT, ORDER BY (elidible and not), DISTINCT, and aggregates.
 GenCase genSelect(Rand& rng, const World& w) {
@@ -814,13 +835,7 @@ GenCase genSelect(Rand& rng, const World& w) {
     g.sql += whereClause(rng, w, g.params, nullptr);
     g.sql += " GROUP BY " + keys;
     if (chance(rng, 30)) g.sql += " HAVING COUNT(*) > 1";
-    if (chance(rng, 50)) {
-      // Ordering by every group key is a total order over groups.
-      g.sql += " ORDER BY " + keys;
-      if (chance(rng, 40)) g.sql += " LIMIT " + std::to_string(1 + pick(rng, 6));
-    } else {
-      g.exactOrder = false;
-    }
+    groupedOrderBy(rng, keys, g);
     return g;
   }
 
@@ -982,16 +997,12 @@ GenCase genGroupedJoin(Rand& rng, const World& w) {
   GenCase g;
   const std::string t0 = "t" + std::to_string(pick(rng, w.nTables));
   const std::string t1 = "t" + std::to_string(pick(rng, w.nTables));
-  g.sql = "SELECT x0.a, COUNT(*) AS c, SUM(x1.b) AS sb FROM " + t0 + " x0 JOIN " + t1 +
-          " x1 ON x0.a = x1." + (chance(rng, 50) ? "b" : "a");
+  g.sql = "SELECT x0.a, COUNT(*) AS c, SUM(x1.b) AS sb, MIN(x1.d) AS mn FROM " + t0 +
+          " x0 JOIN " + t1 + " x1 ON x0.a = x1." + (chance(rng, 50) ? "b" : "a");
   if (chance(rng, 40)) g.sql += " WHERE x1.b >= " + scalarFor(rng, "b", g.params);
   g.sql += " GROUP BY x0.a";
   if (chance(rng, 30)) g.sql += " HAVING COUNT(*) > 1";
-  if (chance(rng, 50)) {
-    g.sql += " ORDER BY x0.a";
-  } else {
-    g.exactOrder = false;
-  }
+  groupedOrderBy(rng, "x0.a", g);
   return g;
 }
 

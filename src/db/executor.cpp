@@ -1,6 +1,7 @@
 #include "db/executor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_set>
@@ -1076,7 +1077,50 @@ ExecResult executeDelete(Database& db, const DeletePlan& p, std::span<const Valu
   return result;
 }
 
+// ----- read memo key -----
+
+/// Exact identity of two bound parameters: same type and same value, doubles
+/// bitwise. Value::compare is too loose for a memo key: int 5 and double 5.0
+/// compare equal but project differently.
+bool sameParam(const Value& a, const Value& b) {
+  if (a.isInt()) return b.isInt() && a.asInt() == b.asInt();
+  if (a.isDouble()) {
+    return b.isDouble() &&
+           std::bit_cast<std::uint64_t>(a.asDouble()) == std::bit_cast<std::uint64_t>(b.asDouble());
+  }
+  if (a.isString()) return b.isString() && a.asString() == b.asString();
+  return b.isNull();
+}
+
+std::size_t paramHash(const Value& v) {
+  if (v.isInt()) return std::hash<std::int64_t>{}(v.asInt());
+  if (v.isDouble()) return std::hash<std::uint64_t>{}(std::bit_cast<std::uint64_t>(v.asDouble()));
+  if (v.isString()) return std::hash<std::string>{}(v.asString());
+  return 0x9E3779B9u;
+}
+
+std::size_t memoKey(const Plan* plan, std::span<const Value> params) {
+  std::size_t h = std::hash<const Plan*>{}(plan);
+  for (const Value& v : params) {
+    h ^= paramHash(v) + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+  }
+  return h;
+}
+
+bool readsUnchanged(const std::vector<std::pair<const Table*, std::uint64_t>>& reads) {
+  return std::all_of(reads.begin(), reads.end(),
+                     [](const auto& r) { return r.first->version() == r.second; });
+}
+
 }  // namespace
+
+bool readMemoApplies(const Plan& plan) {
+  if (plan.kind != Statement::Kind::Select) return false;
+  const SelectPlan& s = plan.select;
+  const bool pointAccess = s.access.kind == AccessPath::Kind::PkEq ||
+                           s.access.kind == AccessPath::Kind::AggFast;
+  return s.tableNames.size() != 1 || !pointAccess;
+}
 
 // ---------------------------------------------------------------------------
 // Executor entry points.
@@ -1118,7 +1162,35 @@ ExecResult Executor::execute(const Statement& stmt, std::span<const Value> param
 }
 
 ExecResult Executor::execute(const PlannedStatement& stmt, std::span<const Value> params) {
-  return executePlan(*stmt.planFor(db_), params);
+  std::shared_ptr<const Plan> plan = stmt.planFor(db_);
+  if (!readMemoApplies(*plan) || params.size() < plan->paramCount) {
+    return executePlan(*plan, params);
+  }
+  // A SELECT writes nothing, so the versions read after it ran are the
+  // versions its result reflects.
+  const auto bound = params.first(plan->paramCount);
+  const std::size_t key = memoKey(plan.get(), bound);
+  auto [it, end] = memo_.equal_range(key);
+  for (; it != end; ++it) {
+    MemoEntry& e = it->second;
+    if (e.plan != plan || !std::equal(bound.begin(), bound.end(), e.params.begin(),
+                                      e.params.end(), sameParam)) {
+      continue;
+    }
+    if (readsUnchanged(e.reads)) {
+      ++memoHits_;
+    } else {
+      e.result = executePlan(*plan, params);
+      for (auto& [table, version] : e.reads) version = table->version();
+    }
+    return e.result;
+  }
+  MemoEntry e{plan, {bound.begin(), bound.end()}, {}, executePlan(*plan, params)};
+  for (const std::string& name : plan->select.tableNames) {
+    const Table& table = db_.table(name);
+    e.reads.emplace_back(&table, table.version());
+  }
+  return memo_.emplace(key, std::move(e))->second.result;
 }
 
 ExecResult Executor::query(std::string_view sql, std::span<const Value> params) {

@@ -50,6 +50,7 @@ Table::Table(TableSchema schema) : schema_(std::move(schema)) {
 }
 
 std::int64_t Table::insert(Row row) {
+  ++version_;
   if (row.size() != schema_.columns.size()) {
     throw std::runtime_error("INSERT into " + schema_.name + ": expected " +
                              std::to_string(schema_.columns.size()) + " values, got " +
@@ -120,6 +121,7 @@ bool Table::hasIndexOn(std::size_t column) const {
 }
 
 void Table::updateCell(RowId id, std::size_t column, Value v) {
+  ++version_;
   if (!isLive(id)) throw std::runtime_error("update of dead row");
   Row& row = rows_[id];
   const bool pkCol = isPrimaryKeyColumn(column);
@@ -148,6 +150,7 @@ void Table::updateCell(RowId id, std::size_t column, Value v) {
 }
 
 void Table::erase(RowId id) {
+  ++version_;
   if (!isLive(id)) return;
   std::vector<std::size_t> ranks;
   indexErase(id, journaling_ ? &ranks : nullptr);
@@ -164,6 +167,7 @@ void Table::beginJournal() {
 }
 
 void Table::rollback() {
+  ++version_;
   if (!journaling_) return;
   for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) undo(*it);
   journal_.clear();

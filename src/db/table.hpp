@@ -108,6 +108,12 @@ class Table {
 
   std::int64_t lastInsertId() const noexcept { return lastInsertId_; }
 
+  /// Write-version: bumped by every insert, updateCell, erase and rollback
+  /// (before it does any work, so a write that throws still counts). Equal
+  /// versions of one Table object mean equal contents; Executor's read memo
+  /// keys on it.
+  std::uint64_t version() const noexcept { return version_; }
+
   /// Approximate bytes held by live rows (for the resource-usage benches).
   std::size_t approxBytes() const noexcept { return approxBytes_; }
 
@@ -180,6 +186,7 @@ class Table {
   std::map<std::size_t, std::multimap<Value, RowId>> secondary_;
   std::int64_t nextAutoId_ = 1;
   std::int64_t lastInsertId_ = 0;
+  std::uint64_t version_ = 0;
 
   bool journaling_ = false;
   std::vector<JournalEntry> journal_;

@@ -10,7 +10,8 @@ namespace mwsim::db {
 /// A single SQL value: NULL, 64-bit integer, double, or string.
 ///
 /// Integers and doubles compare numerically against each other (MySQL-style
-/// weak numeric typing); NULL compares equal only to NULL and sorts first.
+/// weak numeric typing), by exact value; NULL compares equal only to NULL and
+/// sorts first.
 class Value {
  public:
   Value() noexcept : v_(std::monostate{}) {}
@@ -26,7 +27,8 @@ class Value {
   bool isString() const noexcept { return std::holds_alternative<std::string>(v_); }
   bool isNumeric() const noexcept { return isInt() || isDouble(); }
 
-  /// Integer content; numeric values are converted. Throws on strings/NULL.
+  /// Integer content; a double is truncated toward zero, saturating at the
+  /// int64 limits, and NaN reads as 0. Throws on strings/NULL.
   std::int64_t asInt() const;
   /// Double content; numeric values are converted. Throws on strings/NULL.
   double asDouble() const;
@@ -36,8 +38,10 @@ class Value {
   /// Renders the value for embedding into generated HTML / debugging.
   std::string toDisplayString() const;
 
-  /// Three-way comparison: NULL < numbers < strings; numbers compare
-  /// numerically across int/double.
+  /// Three-way comparison: NULL < numbers < strings; numbers compare by
+  /// exact value across int/double, and NaN equals NaN and sorts below every
+  /// other number. A strict weak order, so it can key ordered containers,
+  /// sorts and hash grouping.
   int compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return compare(other) == 0; }

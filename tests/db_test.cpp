@@ -48,21 +48,82 @@ TEST(ValueTest, HashConsistentWithEquality) {
 
 TEST(ValueTest, HashAgreesWithCompare) {
   constexpr std::int64_t kTwo53 = std::int64_t{1} << 53;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   const std::pair<Value, Value> equalPairs[] = {
       {Value(kTwo53), Value(static_cast<double>(kTwo53))},
-      {Value(kTwo53 + 1), Value(static_cast<double>(kTwo53))},  // int rounds to 2^53
-      {Value(-kTwo53 - 1), Value(-static_cast<double>(kTwo53))},
+      {Value(-kTwo53), Value(-static_cast<double>(kTwo53))},
+      {Value(kTwo53 + 2), Value(static_cast<double>(kTwo53 + 2))},  // exact past 2^53
       {Value(0.0), Value(-0.0)},
       {Value(0), Value(-0.0)},
       {Value(1e300), Value(1e300)},
       {Value(-1e300), Value(-1e300)},
-      {Value(0x1p63), Value(std::numeric_limits<std::int64_t>::max())},
       {Value(-0x1p63), Value(std::numeric_limits<std::int64_t>::min())},
+      {Value(nan), Value(-nan)},  // every NaN is one value, whatever its bits
   };
   for (const auto& [a, b] : equalPairs) {
     ASSERT_EQ(a.compare(b), 0) << a.toDisplayString() << " vs " << b.toDisplayString();
     EXPECT_EQ(a.hash(), b.hash()) << a.toDisplayString() << " vs " << b.toDisplayString();
   }
+}
+
+TEST(ValueTest, CompareIsStrictWeakOrder) {
+  constexpr std::int64_t kTwo53 = std::int64_t{1} << 53;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double two53 = static_cast<double>(kTwo53);
+  const std::vector<Value> values = {
+      Value(), Value(nan), Value(-nan), Value(-inf), Value(-1e300), Value(-0x1p63),
+      Value(kMin), Value(kMin + 1), Value(-kTwo53 - 1), Value(-kTwo53), Value(-two53),
+      Value(-two53 - 2), Value(-0.5), Value(-0.0), Value(0.0), Value(0), Value(0.5),
+      Value(1), Value(kTwo53 - 1), Value(kTwo53), Value(two53), Value(kTwo53 + 1),
+      Value(two53 + 2), Value(kTwo53 + 2), Value(kMax - 1), Value(kMax), Value(0x1p63),
+      Value(1e300), Value(inf), Value(""), Value("a")};
+  auto sign = [](int c) { return (c > 0) - (c < 0); };
+  for (const Value& a : values) {
+    ASSERT_EQ(a.compare(a), 0) << a.toDisplayString();
+    for (const Value& b : values) {
+      const int ab = sign(a.compare(b));
+      ASSERT_EQ(ab, -sign(b.compare(a))) << a.toDisplayString() << " vs " << b.toDisplayString();
+      for (const Value& c : values) {
+        const int bc = sign(b.compare(c));
+        // < is transitive, and so is equivalence (compare() == 0).
+        if (ab == bc && ab != 1) {
+          ASSERT_EQ(sign(a.compare(c)), ab)
+              << a.toDisplayString() << ", " << b.toDisplayString() << ", "
+              << c.toDisplayString();
+        }
+        if (ab == 0) {
+          ASSERT_EQ(sign(a.compare(c)), bc)
+              << a.toDisplayString() << " ~ " << b.toDisplayString() << " vs "
+              << c.toDisplayString();
+        }
+      }
+    }
+  }
+  // An int meets a double by exact value, not through the double the int
+  // would round to; NaN has one fixed place, below every other number.
+  EXPECT_GT(Value(kTwo53 + 1).compare(Value(two53)), 0);
+  EXPECT_LT(Value(-kTwo53 - 1).compare(Value(-two53)), 0);
+  EXPECT_LT(Value(kMax).compare(Value(0x1p63)), 0);
+  EXPECT_LT(Value(3).compare(Value(3.5)), 0);
+  EXPECT_GT(Value(-3).compare(Value(-3.5)), 0);
+  EXPECT_LT(Value(nan).compare(Value(-inf)), 0);
+  EXPECT_LT(Value(nan).compare(Value(kMin)), 0);
+  EXPECT_GT(Value(nan).compare(Value()), 0);
+}
+
+TEST(ValueTest, AsIntSaturatesOutOfRangeDoubles) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(Value(1e300).asInt(), kMax);
+  EXPECT_EQ(Value(-1e300).asInt(), kMin);
+  EXPECT_EQ(Value(0x1p63).asInt(), kMax);
+  EXPECT_EQ(Value(-0x1p63).asInt(), kMin);
+  EXPECT_EQ(Value(std::numeric_limits<double>::infinity()).asInt(), kMax);
+  EXPECT_EQ(Value(std::numeric_limits<double>::quiet_NaN()).asInt(), 0);
+  EXPECT_EQ(Value(-3.9).asInt(), -3);
 }
 
 TEST(ValueTest, Conversions) {
@@ -712,6 +773,129 @@ TEST_F(ExecutorTest, DatabaseApproxBytesGrows) {
   const auto before = db_.approxBytes();
   exec_.query("INSERT INTO books VALUES (NULL, 'a-very-long-book-title', 1, 5.0)");
   EXPECT_GT(db_.approxBytes(), before);
+}
+
+// ------------------------------------------------------------- Read memo
+
+/// Executor::execute(PlannedStatement) memoizes SELECTs per executor; these
+/// pin when a stored result may be replayed and when it must not.
+class ReadMemoTest : public ExecutorTest {
+ protected:
+  ExecResult run() {
+    const Value params[] = {Value(12.0)};
+    return exec_.execute(join_, params);
+  }
+
+  /// The same statement through an executor whose memo is empty.
+  ExecResult fresh() {
+    Executor other(db_);
+    const Value params[] = {Value(12.0)};
+    return other.execute(join_, params);
+  }
+
+  static void expectSameResult(const ExecResult& a, const ExecResult& b) {
+    EXPECT_EQ(a.resultSet.columns, b.resultSet.columns);
+    ASSERT_EQ(a.resultSet.rowCount(), b.resultSet.rowCount());
+    for (std::size_t r = 0; r < a.resultSet.rowCount(); ++r) {
+      for (std::size_t c = 0; c < a.resultSet.columns.size(); ++c) {
+        const Value& x = a.resultSet.at(r, c);
+        const Value& y = b.resultSet.at(r, c);
+        EXPECT_EQ(x.compare(y), 0) << "row " << r << " column " << c;
+        EXPECT_EQ(x.isDouble(), y.isDouble()) << "row " << r << " column " << c;
+      }
+    }
+    EXPECT_EQ(a.stats.rowsExamined, b.stats.rowsExamined);
+    EXPECT_EQ(a.stats.bytesExamined, b.stats.bytesExamined);
+    EXPECT_EQ(a.stats.rowsReturned, b.stats.rowsReturned);
+    EXPECT_EQ(a.stats.rowsSorted, b.stats.rowsSorted);
+    EXPECT_EQ(a.stats.aggregatedGroups, b.stats.aggregatedGroups);
+    EXPECT_EQ(a.stats.usedIndex, b.stats.usedIndex);
+    EXPECT_EQ(a.stats.resultBytes, b.stats.resultBytes);
+  }
+
+  // Reads books and authors; prices 20 (lotr), 10 (hobbit) and 15 (hp1).
+  PlannedStatement join_{parseSql(
+      "SELECT b.title, a.name FROM books b JOIN authors a ON b.author_id = a.id "
+      "WHERE b.price >= ? ORDER BY b.title")};
+};
+
+TEST_F(ReadMemoTest, WriteToATableThePlanReadsReExecutes) {
+  ASSERT_TRUE(readMemoApplies(*join_.planFor(db_)));
+  const ExecResult first = run();
+  expectSameResult(run(), first);
+  EXPECT_EQ(exec_.memoHits(), 1u);
+  // One write per Table mutator, each changing the join's result.
+  const char* const writes[] = {
+      "INSERT INTO books VALUES (NULL, 'silmarillion', 1, 25.0)",  // insert
+      "UPDATE books SET title = 'lotr2' WHERE id = 1",             // updateCell
+      "DELETE FROM books WHERE id = 3",                            // erase
+      "UPDATE authors SET name = 'jrr' WHERE id = 1",              // the other table
+  };
+  for (const char* write : writes) {
+    SCOPED_TRACE(write);
+    const ExecResult before = run();
+    exec_.query(write);
+    const std::uint64_t hits = exec_.memoHits();
+    const ExecResult after = run();
+    EXPECT_EQ(exec_.memoHits(), hits);
+    expectSameResult(after, fresh());
+    EXPECT_NE(before.resultSet.rows, after.resultSet.rows);
+    expectSameResult(run(), after);  // the refreshed entry hits again
+    EXPECT_EQ(exec_.memoHits(), hits + 1);
+  }
+}
+
+TEST_F(ReadMemoTest, WriteToAnUnrelatedTableStillHits) {
+  const ExecResult first = run();
+  exec_.query("UPDATE items SET stock = 0 WHERE id = 3");
+  exec_.query("INSERT INTO items VALUES (NULL, 'extra', 1, 1.0, 1)");
+  exec_.query("DELETE FROM items WHERE id = 4");
+  expectSameResult(run(), first);
+  EXPECT_EQ(exec_.memoHits(), 1u);
+}
+
+TEST_F(ReadMemoTest, RollbackReExecutesAndMatchesAFreshExecutor) {
+  db_.beginJournal();
+  EXPECT_EQ(run().resultSet.rowCount(), 2u);
+  exec_.query("INSERT INTO books VALUES (NULL, 'silmarillion', 1, 25.0)");
+  EXPECT_EQ(run().resultSet.rowCount(), 3u);
+  db_.rollback();  // back to the two-row state; only the version says so
+  const ExecResult rolledBack = run();
+  EXPECT_EQ(exec_.memoHits(), 0u);
+  EXPECT_EQ(rolledBack.resultSet.rowCount(), 2u);
+  expectSameResult(rolledBack, fresh());
+}
+
+TEST_F(ReadMemoTest, IntAndDoubleParametersAreSeparateEntries) {
+  // 5 and 5.0 compare equal but project differently, so neither may be
+  // served the other's result.
+  PlannedStatement echo(parseSql("SELECT ? AS v FROM authors"));
+  ASSERT_TRUE(readMemoApplies(*echo.planFor(db_)));
+  const Value asInt[] = {Value(5)};
+  const Value asDouble[] = {Value(5.0)};
+  EXPECT_TRUE(exec_.execute(echo, asInt).resultSet.at(0, 0).isInt());
+  EXPECT_TRUE(exec_.execute(echo, asDouble).resultSet.at(0, 0).isDouble());
+  EXPECT_EQ(exec_.memoHits(), 0u);
+  EXPECT_TRUE(exec_.execute(echo, asInt).resultSet.at(0, 0).isInt());
+  EXPECT_TRUE(exec_.execute(echo, asDouble).resultSet.at(0, 0).isDouble());
+  EXPECT_EQ(exec_.memoHits(), 2u);
+}
+
+TEST_F(ReadMemoTest, SingleTablePointLookupsBypassTheMemo) {
+  PlannedStatement byPk(parseSql("SELECT name FROM authors WHERE id = ?"));
+  PlannedStatement maxId(parseSql("SELECT MAX(id) AS m FROM books"));
+  PlannedStatement byIndex(parseSql("SELECT title FROM books WHERE author_id = ?"));
+  PlannedStatement insert(parseSql("INSERT INTO authors VALUES (?, 'x')"));
+  EXPECT_FALSE(readMemoApplies(*byPk.planFor(db_)));
+  EXPECT_FALSE(readMemoApplies(*maxId.planFor(db_)));
+  EXPECT_TRUE(readMemoApplies(*byIndex.planFor(db_)));
+  EXPECT_FALSE(readMemoApplies(*insert.planFor(db_)));
+  const Value one[] = {Value(1)};
+  exec_.execute(byPk, one);
+  exec_.execute(byPk, one);
+  exec_.execute(maxId);
+  exec_.execute(maxId);
+  EXPECT_EQ(exec_.memoHits(), 0u);
 }
 
 }  // namespace

@@ -7,11 +7,15 @@
 /// row for row (or as a multiset where the generated ordering is partial);
 /// every write must leave byte-identical table contents. Each SELECT also
 /// runs through the PlannedStatement cache twice (cold plan build, then
-/// warm reuse), so plan caching itself is under the oracle.
+/// warm reuse), so plan caching itself is under the oracle. The second run
+/// is a read-memo hit whenever the plan is memoized, and all three runs
+/// must agree on every ExecStats field as well as the rows, since the
+/// simulation charges CPU from those stats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <optional>
@@ -576,6 +580,21 @@ void expectRowsEqual(const std::vector<Row>& expected, const std::vector<Row>& a
         << "row " << i << ": reference " << rowToString(e[i]) << " vs optimized "
         << rowToString(a[i]);
   }
+}
+
+void expectSameStats(const db::ExecResult& expected, const db::ExecResult& actual) {
+  const db::ExecStats& e = expected.stats;
+  const db::ExecStats& a = actual.stats;
+  EXPECT_EQ(e.rowsExamined, a.rowsExamined);
+  EXPECT_EQ(e.bytesExamined, a.bytesExamined);
+  EXPECT_EQ(e.rowsReturned, a.rowsReturned);
+  EXPECT_EQ(e.rowsModified, a.rowsModified);
+  EXPECT_EQ(e.rowsSorted, a.rowsSorted);
+  EXPECT_EQ(e.aggregatedGroups, a.aggregatedGroups);
+  EXPECT_EQ(e.usedIndex, a.usedIndex);
+  EXPECT_EQ(e.resultBytes, a.resultBytes);
+  EXPECT_EQ(expected.affectedRows, actual.affectedRows);
+  EXPECT_EQ(expected.lastInsertId, actual.lastInsertId);
 }
 
 std::vector<std::pair<RowId, Row>> dumpTable(const Table& t) {
@@ -1166,7 +1185,10 @@ TEST(SqlDifferentialTest, OptimizedEngineMatchesNaiveReference) {
       ++selectCases;
       const db::ExecResult adhoc = w.exec.execute(*stmt, g.params);
       const db::ExecResult cold = w.exec.execute(*planned, g.params);
+      const std::uint64_t hitsBeforeWarm = w.exec.memoHits();
       const db::ExecResult warm = w.exec.execute(*planned, g.params);
+      ASSERT_EQ(w.exec.memoHits() - hitsBeforeWarm,
+                db::readMemoApplies(*planned->planFor(w.opt)) ? 1u : 0u);
 
       ASSERT_EQ(ref.columns, adhoc.resultSet.columns);
       ASSERT_EQ(ref.columns, cold.resultSet.columns);
@@ -1176,6 +1198,9 @@ TEST(SqlDifferentialTest, OptimizedEngineMatchesNaiveReference) {
       if (::testing::Test::HasFatalFailure()) return;
       expectRowsEqual(cold.resultSet.rows, warm.resultSet.rows, /*exactOrder=*/true);
       if (::testing::Test::HasFatalFailure()) return;
+      expectSameStats(adhoc, cold);
+      expectSameStats(adhoc, warm);
+      if (::testing::Test::HasFailure()) return;
       expectRowsEqual(ref.rows, adhoc.resultSet.rows, g.exactOrder);
       if (::testing::Test::HasFatalFailure()) return;
     }

@@ -40,7 +40,8 @@ class Executor {
   /// result, stats included (DESIGN.md §8).
   ExecResult execute(const PlannedStatement& stmt, std::span<const Value> params = {});
 
-  /// Executes a prebuilt plan directly (micro-benchmarks, plan tests).
+  /// Executes a prebuilt plan directly, past the read memo (micro-benchmarks,
+  /// plan tests).
   ExecResult executePlan(const Plan& plan, std::span<const Value> params = {});
 
   /// Convenience: parse + plan + execute in one step.
